@@ -20,17 +20,23 @@ from .errors import (AssumptionViolated, DomainError, ExprSyntaxError,
 from .exprlang import Dual2, eval2, format_expr, parse
 from .oracle import (BruteForceResult, MaximalityReport, brute_force,
                      check_maximality, resistance_quadrature)
-from .planar import classify2d, resistance2d_of_profile, solve2d
+from .planar import classify2d, solve2d
 from .pressure import (PressureModel, ValidationReport, make_builtin,
                        make_expr, make_zero, validate)
-from .spatial import (GTable, SpatialExtremal, extremal_from_U, g_eval,
+from .spatial import (GTable, SpatialExtremal, extremal_from_U,
                       resistance_branch, solve_height_for_U, solve_spatial)
 
 __version__ = "0.1.0"
 
 
 def solve(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
-    """Optimal body for any d >= 2; dispatches planar vs spatial."""
+    """Optimal body for any d >= 2; dispatches planar vs spatial.
+
+    n_samples (at least 3) is the sample count of each curved arc.
+    """
+    if n_samples < 3:
+        raise InvalidParameter(
+            f"n_samples must be at least 3, got {n_samples!r}")
     if spec.d == 2:
         return solve2d(spec)
     return solve_spatial(spec, n_samples=n_samples)
@@ -45,9 +51,9 @@ __all__ = [
     "ProblemSpec", "Profile", "QuadratureFailure", "SpatialExtremal",
     "UnknownIdentifier", "ValidationReport", "brute_force", "check_maximality",
     "classify2d", "critical_values", "eval2", "extremal_from_U",
-    "flat_profile", "format_expr", "g_eval", "make_builtin", "make_expr",
+    "flat_profile", "format_expr", "make_builtin", "make_expr",
     "make_zero", "newton3", "newton4", "pair_criticals", "parse",
-    "relaxed_dp", "relaxed_p", "resistance2d_of_profile", "resistance_branch",
+    "relaxed_dp", "relaxed_p", "resistance_branch",
     "resistance_quadrature", "solve", "solve2d", "solve_height_for_U",
     "solve_spatial", "unit_ball_volume", "validate",
 ]

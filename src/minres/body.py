@@ -86,6 +86,10 @@ class ParamArc:
     """
 
     samples: tuple  # of (t, x, u)
+    _ts: tuple = field(default=(), repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_ts", tuple(s[0] for s in self.samples))
 
     @property
     def t_from(self) -> float:
@@ -109,6 +113,7 @@ class Profile:
     segments: tuple
     beta: float
     _starts: tuple = field(default=(), repr=False, compare=False)
+    _ends: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -132,13 +137,14 @@ class Profile:
             raise InvalidParameter(
                 f"segment rises sum to {x}, expected beta={self.beta}")
         object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_ends",
+                           tuple(seg.t_to for seg in self.segments))
 
     def _locate(self, t: float) -> int:
         if not (-_TILE_TOL <= t <= self.T * (1.0 + _TILE_TOL) + _TILE_TOL):
             raise InvalidParameter(f"t={t} outside [0, {self.T}]")
         # bisect_right on segment ends gives right-continuity at kinks
-        ends = [seg.t_to for seg in self.segments]
-        i = bisect.bisect_right(ends, t)
+        i = bisect.bisect_right(self._ends, t)
         return min(i, len(self.segments) - 1)
 
     def x_at(self, t: float) -> float:
@@ -230,14 +236,26 @@ def _arc_interp(arc: ParamArc, t: float, col: int) -> float:
         return pts[0][col]
     if t >= pts[-1][0]:
         return pts[-1][col]
-    ts = [s[0] for s in pts]
-    j = bisect.bisect_right(ts, t)
+    j = bisect.bisect_right(arc._ts, t)
     t0, t1 = pts[j - 1][0], pts[j][0]
     v0, v1 = pts[j - 1][col], pts[j][col]
     if t1 == t0:
         return v1
     w = (t - t0) / (t1 - t0)
     return v0 + w * (v1 - v0)
+
+
+def split_height(H: float, first: float) -> tuple[float, float]:
+    """(first, H - first), with first moved so the two sum to exactly H.
+
+    H - first can round so that the sum misses H by an ulp.  That only
+    happens when first < H/2; the rest is then at least H/2, so taking
+    first back as H - rest is exact and the sum is exactly H.
+    """
+    rest = H - first
+    if first + rest != H:
+        first = H - rest
+    return first, rest
 
 
 def flat_profile(T: float) -> Profile:
@@ -259,3 +277,9 @@ class BodySolution:
     R_total: float
     U_plus: float | None = None
     U_minus: float | None = None
+
+    def __post_init__(self):
+        if self.beta_plus + self.beta_minus != self.spec.H:
+            raise InvalidParameter(
+                f"branch heights {self.beta_plus!r} + {self.beta_minus!r} "
+                f"do not sum to H={self.spec.H!r}")

@@ -174,12 +174,17 @@ def _profile_from_csv(path: str, T: float, column: str) -> Profile:
             raise InvalidParameter(
                 f"CSV needs columns t and {column}") from None
         pts = []
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
-            pts.append((float(cells[t_i]), float(cells[x_i])))
+            try:
+                pts.append((float(cells[t_i]), float(cells[x_i])))
+            except (ValueError, IndexError):
+                raise InvalidParameter(
+                    f"CSV line {line_no} needs numeric t and {column} "
+                    f"cells, got {line!r}") from None
     if len(pts) < 2:
         raise InvalidParameter(f"CSV column {column} needs at least 2 rows")
     pts.sort()

@@ -2,30 +2,21 @@
 
 Root finding is always bracketed: callers supply (or grow) a sign-change
 interval, and running out of iterations raises instead of returning a
-best effort.  The default absolute tolerance on the abscissa is 1e-12,
-overridable through the MINRES_TOL environment variable.
+best effort.  Roots are located to an absolute abscissa tolerance of
+1e-12.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 from .errors import NoConvergence, QuadratureFailure
 
 _EPS = 2.220446049250313e-16
+_XTOL = 1e-12
 
 
-def root_tolerance(xtol: float | None = None) -> float:
-    """Resolve the abscissa tolerance, honoring the MINRES_TOL override."""
-    if xtol is not None:
-        return float(xtol)
-    env = os.environ.get("MINRES_TOL")
-    return float(env) if env else 1e-12
-
-
-def bracket_root(f, a: float, b: float, xtol: float | None = None,
-                 max_iter: int = 200) -> float:
+def bracket_root(f, a: float, b: float, max_iter: int = 200) -> float:
     """Root of f on [a, b] by bisection with inverse interpolation.
 
     f(a) and f(b) must differ in sign (or one endpoint be an exact root).
@@ -33,7 +24,6 @@ def bracket_root(f, a: float, b: float, xtol: float | None = None,
     current bracket and shrinks it fast enough; otherwise the step falls
     back to bisection, so the bracket width is guaranteed to collapse.
     """
-    tol = root_tolerance(xtol)
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -53,7 +43,7 @@ def bracket_root(f, a: float, b: float, xtol: float | None = None,
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * _XTOL
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b

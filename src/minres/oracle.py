@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .body import Flat, Linear, ParamArc, Profile, ProblemSpec
-from .criticals import critical_values, relaxed_p
+from .criticals import CriticalValues, critical_values, relaxed_p
 from .errors import InfeasibleGrid, InvalidParameter, QuadratureFailure
 from .pressure import PressureModel
 
@@ -100,19 +101,19 @@ class BruteForceResult:
     gap: float  # best_value - analytic_value
 
 
-def _analytic_branch_value(spec: ProblemSpec, branch: str,
-                           beta: float) -> float:
-    """Optimal branch resistance, solved independently of the DP."""
-    model = _branch_model(spec, branch)
+def _analytic_branch_value(spec: ProblemSpec, model: PressureModel,
+                           cv: CriticalValues | None, beta: float) -> float:
+    """Optimal branch resistance, solved independently of the DP.
+
+    cv is the law's critical values, None exactly when the law is zero.
+    """
     T, d = spec.T, spec.d
     factor = spec.resistance_factor
     if model.is_zero:
         return 0.0
     if d == 2:
-        cv = critical_values(model)
         return factor * T * relaxed_p(model, cv, beta / T)
     from .spatial import GTable, resistance_branch, solve_height_for_U
-    cv = critical_values(model)
     gt = GTable(model, cv, d)
     ex = solve_height_for_U(gt, beta / T, T)
     return factor * resistance_branch(gt, ex, T, d)
@@ -137,7 +138,8 @@ def brute_force(spec: ProblemSpec, branch: str, beta: float,
     model = _branch_model(spec, branch)
     T, d = spec.T, spec.d
     factor = spec.resistance_factor
-    analytic = _analytic_branch_value(spec, branch, beta)
+    cv = None if model.is_zero else critical_values(model)
+    analytic = _analytic_branch_value(spec, model, cv, beta)
 
     dt = T / n_cells
     edges = np.arange(n_cells + 1) * dt
@@ -155,7 +157,7 @@ def brute_force(spec: ProblemSpec, branch: str, beta: float,
     if u_cap is None:
         # wide enough for every slope the analytic solution can use:
         # flat-cap corners sit at u0 and steep branches at ~beta/T
-        u0 = 0.0 if model.is_zero else critical_values(model).u0
+        u0 = 0.0 if cv is None else cv.u0
         u_cap = 4.0 * max(1.0, beta / T, u0)
     dx = beta / n_heights
     m_max = min(n_heights, int(u_cap * dt / dx * (1.0 + 1e-12)))
@@ -166,28 +168,30 @@ def brute_force(spec: ProblemSpec, branch: str, beta: float,
     steps = np.arange(m_max + 1)
     p_step = np.array([model.p(float(m * dx / dt)) for m in steps])
 
+    # band DP: height k is reached from k - m for steps m = 0..m_max;
+    # window column j holds predecessor k - m_max + j (step m_max - j),
+    # so argmin keeps the lowest predecessor on ties
     K = n_heights + 1
-    idx = np.subtract.outer(np.arange(K), np.arange(K))  # k' - k
-    valid = (idx >= 0) & (idx <= m_max)
-    p_mat = np.where(valid, p_step[np.clip(idx, 0, m_max)], np.inf)
-
-    J = np.full(K, np.inf)
-    J[0] = 0.0
-    choices = np.empty((n_cells, K), dtype=np.int32)
+    rows = np.arange(K)
+    p_band = p_step[::-1]
+    J = np.full(m_max + K, np.inf)  # m_max unreachable heights below 0
+    J[m_max] = 0.0
+    steps_taken = np.empty((n_cells, K), dtype=np.int32)
     for i in range(n_cells):
-        cand = J[np.newaxis, :] + weights[i] * p_mat
-        choices[i] = np.argmin(cand, axis=1)
-        J = cand[np.arange(K), choices[i]]
-    best = float(J[n_heights])
+        cand = sliding_window_view(J, m_max + 1) + weights[i] * p_band
+        j = np.argmin(cand, axis=1)
+        steps_taken[i] = m_max - j
+        J[m_max:] = cand[rows, j]
+    best = float(J[m_max + n_heights])
     if not math.isfinite(best):
         raise InfeasibleGrid("no admissible step profile on this grid")
 
     slopes = []
     k = n_heights
     for i in range(n_cells - 1, -1, -1):
-        k_prev = int(choices[i][k])
-        slopes.append((k - k_prev) * dx / dt)
-        k = k_prev
+        m = int(steps_taken[i][k])
+        slopes.append(m * dx / dt)
+        k -= m
     slopes.reverse()
 
     best *= factor

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .body import (DOUBLE_TRIANGLE, FLAT_DISK, FRONT_TRAPEZIUM, FRONT_TRIANGLE,
                    TRIANGLE_OVER_TRAPEZIUM, BodySolution, Flat, Linear,
-                   ParamArc, Profile, ProblemSpec, flat_profile)
+                   Profile, ProblemSpec, flat_profile, split_height)
 from .criticals import PairCriticals, pair_criticals, relaxed_p
 from .errors import InvalidParameter
 from .numerics import bracket_root
@@ -91,8 +91,7 @@ def solve2d(spec: ProblemSpec) -> BodySolution:
         U_p, U_m = h, None
     elif label == TRIANGLE_OVER_TRAPEZIUM:
         # closed-form split: the front runs exactly at u_star
-        beta_p = T * pc.u_star
-        beta_m = H - beta_p
+        beta_p, beta_m = split_height(H, T * pc.u_star)
         front = Profile(T=T, segments=(Linear(0.0, T, pc.u_star),), beta=beta_p)
         rear = _cap_then_slope(T, beta_m, pc.minus.u0)
         lam_p = abs(pp.dp(pc.u_star))  # = B_minus by the u_star equation
@@ -105,8 +104,7 @@ def solve2d(spec: ProblemSpec) -> BodySolution:
             return pp.dp(z) - pm.dp(h - z)
 
         z = hi if split_balance(hi) <= 0.0 else bracket_root(split_balance, lo, hi)
-        beta_p = T * z
-        beta_m = H - beta_p
+        beta_p, beta_m = split_height(H, T * z)
         front = Profile(T=T, segments=(Linear(0.0, T, z),), beta=beta_p)
         rear = Profile(T=T, segments=(Linear(0.0, T, h - z),), beta=beta_m)
         lam_p = abs(pp.dp(z))
@@ -121,28 +119,3 @@ def solve2d(spec: ProblemSpec) -> BodySolution:
                         R_plus=R_p, R_minus=R_m, R_total=R_p + R_m,
                         U_plus=U_p, U_minus=U_m)
 
-
-def resistance2d_of_profile(spec: ProblemSpec, front: Profile,
-                            rear: Profile) -> float:
-    """Planar resistance of an arbitrary admissible pair of profiles.
-
-    Exact on flat/straight spans (sum of p(slope) * span length); arcs
-    are handled by trapezoid over their samples.
-    """
-    if spec.d != 2:
-        raise InvalidParameter(f"resistance2d needs d=2, got {spec.d}")
-    total = 0.0
-    for profile, model in ((front, spec.p_plus), (rear, spec.p_minus)):
-        if model.is_zero:
-            continue
-        acc = 0.0
-        for seg in profile.segments:
-            if isinstance(seg, ParamArc):
-                pts = seg.samples
-                for (t0, _, u0), (t1, _, u1) in zip(pts, pts[1:]):
-                    acc += 0.5 * (model.p(u0) + model.p(u1)) * (t1 - t0)
-            else:
-                slope = seg.slope if isinstance(seg, Linear) else 0.0
-                acc += model.p(slope) * (seg.t_to - seg.t_from)
-        total += acc
-    return spec.resistance_factor * total

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .body import (FLAT_DISK, SPATIAL, BodySolution, Flat, ParamArc, Profile,
-                   ProblemSpec, flat_profile)
+                   ProblemSpec, flat_profile, split_height)
 from .criticals import CriticalValues, pair_criticals
 from .errors import AssumptionViolated, InvalidParameter, NoConvergence
 from .numerics import adaptive_simpson, bracket_root, grow_bracket_upper
@@ -99,10 +99,6 @@ class GTable:
         if U <= self.cv.u0:
             return 0.0
         return U - abs(self.model.dp(U)) ** self.omega * self.g(U)
-
-
-def g_eval(gt: GTable, u: float) -> float:
-    return gt.g(u)
 
 
 @dataclass(frozen=True)
@@ -301,8 +297,7 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
 
     rear_ex = extremal_from_U(gt_minus, z_minus, T, n_samples)
     front_ex = extremal_from_U(gt_plus, z_plus, T, n_samples)
-    beta_m = rear_ex.beta
-    beta_p = H - beta_m  # assign the rounding residual to the front
+    beta_m, beta_p = split_height(H, rear_ex.beta)
     R_p = factor * resistance_branch(gt_plus, front_ex, T, d)
     R_m = factor * resistance_branch(gt_minus, rear_ex, T, d)
     return BodySolution(spec=spec, case_label=SPATIAL,

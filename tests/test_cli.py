@@ -145,6 +145,45 @@ def test_exit_2_on_usage_error(capsys):
     assert payload["error"] == "UsageError"
 
 
+@pytest.mark.parametrize("dim, samples", [(3, 1), (3, 2), (2, 0), (2, -1)])
+def test_exit_2_on_too_few_samples(tmp_path, capsys, dim, samples):
+    """Fewer than 3 arc samples is refused before anything is written."""
+    csv_path = tmp_path / "f.csv"
+    rc = run(["solve", "--dim", str(dim), "--T", "1", "--H", "0.5",
+              "--p-plus", "newton:1,0", "--p-minus", "zero",
+              "--samples", str(samples), "--out-profile", str(csv_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidParameter"
+    assert "n_samples" in payload["message"]
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("row, line_no", [
+    ("0.5,abc,0.0,,", 3),  # non-numeric cell
+    ("0.5", 3),            # short row
+])
+def test_verify_check_profile_rejects_malformed_row(tmp_path, capsys, row,
+                                                    line_no):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,x_front,x_rear,u_front,u_rear\n"
+                    "0.0,0.0,0.0,,\n"
+                    f"{row}\n"
+                    "2.0,2.0,0.0,,\n")
+    rc = run(["verify", "--dim", "2", "--T", "2", "--H", "2"] + PAIR
+             + ["--check-profile", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidParameter"
+    assert f"line {line_no}" in payload["message"]
+
+
 def test_exit_3_on_solver_nonconvergence(capsys, monkeypatch):
     def explode(spec, n_samples=256):
         raise NoConvergence("synthetic", bracket=(0.0, 1.0), residual=1.0)

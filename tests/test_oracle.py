@@ -5,7 +5,7 @@ import pytest
 from minres.body import Linear, ProblemSpec, Profile
 from minres.errors import InfeasibleGrid, InvalidParameter
 from minres.oracle import brute_force, check_maximality, resistance_quadrature
-from minres.planar import resistance2d_of_profile, solve2d
+from minres.planar import solve2d
 from minres.pressure import make_builtin, make_expr, make_zero
 from minres.spatial import solve_spatial
 
@@ -118,10 +118,8 @@ def test_brute_force_best_profile_is_feasible():
     segs = tuple(Linear(k * dt, (k + 1) * dt, u)
                  for k, u in enumerate(slopes))
     prof = Profile(T=2.0, segments=segs, beta=total_rise)
-    flat_rear = Profile(T=2.0, segments=(Linear(0.0, 2.0, 0.0),), beta=0.0)
-    direct = resistance2d_of_profile(spec, prof, flat_rear)
-    rear_part = spec.resistance_factor * 2.0 * spec.p_minus.p(0.0)
-    assert direct - rear_part == pytest.approx(res.best_value, rel=1e-9)
+    direct = resistance_quadrature(spec, "front", prof)
+    assert direct == pytest.approx(res.best_value, rel=1e-9)
 
 
 def test_brute_force_grid_limits():

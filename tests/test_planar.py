@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minres.body import (DOUBLE_TRIANGLE, FLAT_DISK, FRONT_TRAPEZIUM,
                          FRONT_TRIANGLE, TRIANGLE_OVER_TRAPEZIUM, Linear,
                          ProblemSpec, Profile)
-from minres.planar import classify2d, resistance2d_of_profile, solve2d
+from minres.oracle import resistance_quadrature
+from minres.planar import classify2d, solve2d
 from minres.pressure import make_builtin, make_expr, make_zero
 
 
@@ -21,6 +23,11 @@ def parallel_spec(T, H):
     return ProblemSpec(d=2, T=T, H=H,
                        p_plus=make_builtin(1.0, 0.0),
                        p_minus=make_zero())
+
+
+def body_resistance(spec, front, rear):
+    return (resistance_quadrature(spec, "front", front)
+            + resistance_quadrature(spec, "rear", rear))
 
 
 def test_case_taxonomy():
@@ -164,7 +171,7 @@ def test_no_competitor_beats_solver():
             split = rng.uniform(0.0, H)
             front = _random_competitor(rng, 2.0, split)
             rear = _random_competitor(rng, 2.0, H - split)
-            r = resistance2d_of_profile(spec, front, rear)
+            r = body_resistance(spec, front, rear)
             assert r >= sol.R_total - 1e-9, (H, split, r, sol.R_total)
 
 
@@ -173,7 +180,7 @@ def test_solver_profile_reproduces_resistance():
     for H in (1.0, 2.0, 4.0, 6.0):
         spec = example_pair_spec(2.0, H)
         sol = solve2d(spec)
-        r = resistance2d_of_profile(spec, sol.front, sol.rear)
+        r = body_resistance(spec, sol.front, sol.rear)
         assert r == pytest.approx(sol.R_total, rel=1e-12)
 
 
@@ -185,3 +192,15 @@ def test_profiles_are_convex_and_tiled():
             assert prof.x_at(0.0) == pytest.approx(0.0, abs=1e-12)
         assert sol.front.x_at(2.0) == pytest.approx(sol.beta_plus, abs=1e-9)
         assert sol.rear.x_at(2.0) == pytest.approx(sol.beta_minus, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(T=st.floats(min_value=0.1, max_value=10.0),
+       h=st.floats(min_value=1.61, max_value=50.0))
+def test_split_heights_sum_exactly_to_H(T, h):
+    H = T * h
+    spec = ProblemSpec(d=2, T=T, H=H, p_plus=make_builtin(1.0, 0.5),
+                       p_minus=make_builtin(0.5, -0.5))
+    sol = solve2d(spec)
+    assert sol.case_label in (TRIANGLE_OVER_TRAPEZIUM, DOUBLE_TRIANGLE)
+    assert sol.beta_plus + sol.beta_minus == H

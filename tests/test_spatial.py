@@ -3,12 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from minres.body import ProblemSpec
+from minres import solve
+from minres.body import BodySolution, ProblemSpec, flat_profile, split_height
 from minres.criticals import critical_values, pair_criticals
-from minres.errors import AssumptionViolated
+from minres.errors import AssumptionViolated, InvalidParameter
 from minres.pressure import make_builtin, make_expr, make_zero
-from minres.spatial import (GTable, extremal_from_U, g_eval, resistance_branch,
+from minres.spatial import (GTable, extremal_from_U, resistance_branch,
                             solve_height_for_U, solve_spatial)
 
 B3_OF_2 = 1.0845482255552044  # height of the d=3 classical body with U=2
@@ -32,20 +34,20 @@ def g4_closed(u):
 def test_g_linear_below_u0():
     gt = newton_gtable(3)
     # relaxed law is linear with |slope| B on [0, u0]: g = u / B
-    assert g_eval(gt, 0.5) == pytest.approx(1.0, rel=1e-12)
-    assert g_eval(gt, 1.0) == pytest.approx(2.0, rel=1e-10)
+    assert gt.g(0.5) == pytest.approx(1.0, rel=1e-12)
+    assert gt.g(1.0) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_g_matches_closed_form_d3():
     gt = newton_gtable(3)
     for u in (1.0, 1.5, 2.0, 3.0, 5.0):
-        assert g_eval(gt, u) == pytest.approx(g3_closed(u), rel=1e-10)
+        assert gt.g(u) == pytest.approx(g3_closed(u), rel=1e-10)
 
 
 def test_g_matches_closed_form_d4():
     gt = newton_gtable(4)
     for u in (1.0, 1.5, 2.0, 3.0, 5.0):
-        assert g_eval(gt, u) == pytest.approx(g4_closed(u), rel=1e-10)
+        assert gt.g(u) == pytest.approx(g4_closed(u), rel=1e-10)
 
 
 def test_b_vanishes_on_flat_branch():
@@ -229,3 +231,52 @@ def test_ball_volume_factor():
                        include_ball_volume=True)
     sol = solve_spatial(spec)
     assert sol.R_total == pytest.approx(math.pi * R3_OF_2, rel=1e-9)
+
+
+# the acceptance pair 1/(1+u^2)+0.5 over 0.5/(1+u^2)-0.5, as builtin laws
+BUILTIN_PAIR = (make_builtin(1.0, 0.5), make_builtin(0.5, -0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from((3, 4)), h=st.floats(min_value=0.7, max_value=5.0))
+def test_split_heights_sum_exactly_to_H(d, h):
+    spec = ProblemSpec(d=d, T=1.0, H=h, p_plus=BUILTIN_PAIR[0],
+                       p_minus=BUILTIN_PAIR[1])
+    sol = solve_spatial(spec)
+    assert sol.beta_minus > 0.0  # above h_star: the rear is curved
+    assert sol.beta_plus + sol.beta_minus == h
+
+
+@settings(max_examples=1000, deadline=None)
+@given(H=st.floats(min_value=1e-300, max_value=1e300),
+       frac=st.floats(min_value=0.0, max_value=1.0))
+def test_split_height_is_exact(H, frac):
+    first, rest = split_height(H, H * frac)
+    assert first + rest == H
+    assert rest == H - first
+
+
+def test_body_solution_rejects_inexact_split():
+    spec = ProblemSpec(d=3, T=1.0, H=0.3, p_plus=make_builtin(1.0, 0.0),
+                       p_minus=make_zero())
+    with pytest.raises(InvalidParameter):
+        BodySolution(spec=spec, case_label="Spatial", front=flat_profile(1.0),
+                     rear=flat_profile(1.0), beta_plus=0.2, beta_minus=0.1,
+                     lambda_plus=1.0, lambda_minus=None, R_plus=1.0,
+                     R_minus=0.0, R_total=1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n_samples", [-1, 0, 1, 2])
+def test_solve_rejects_too_few_samples(d, n_samples):
+    spec = ProblemSpec(d=d, T=1.0, H=0.5, p_plus=make_builtin(1.0, 0.0),
+                       p_minus=make_zero())
+    with pytest.raises(InvalidParameter):
+        solve(spec, n_samples=n_samples)
+
+
+def test_solve_accepts_three_samples():
+    spec = ProblemSpec(d=3, T=1.0, H=0.5, p_plus=make_builtin(1.0, 0.0),
+                       p_minus=make_zero())
+    sol = solve(spec, n_samples=3)
+    assert sol.R_total == pytest.approx(0.6075072718146134, rel=1e-12)
