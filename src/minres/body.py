@@ -86,10 +86,6 @@ class ParamArc:
     """
 
     samples: tuple  # of (t, x, u)
-    _ts: tuple = field(default=(), repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_ts", tuple(s[0] for s in self.samples))
 
     @property
     def t_from(self) -> float:
@@ -113,7 +109,6 @@ class Profile:
     segments: tuple
     beta: float
     _starts: tuple = field(default=(), repr=False, compare=False)
-    _ends: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -137,14 +132,13 @@ class Profile:
             raise InvalidParameter(
                 f"segment rises sum to {x}, expected beta={self.beta}")
         object.__setattr__(self, "_starts", tuple(starts))
-        object.__setattr__(self, "_ends",
-                           tuple(seg.t_to for seg in self.segments))
 
     def _locate(self, t: float) -> int:
         if not (-_TILE_TOL <= t <= self.T * (1.0 + _TILE_TOL) + _TILE_TOL):
             raise InvalidParameter(f"t={t} outside [0, {self.T}]")
         # bisect_right on segment ends gives right-continuity at kinks
-        i = bisect.bisect_right(self._ends, t)
+        ends = [seg.t_to for seg in self.segments]
+        i = bisect.bisect_right(ends, t)
         return min(i, len(self.segments) - 1)
 
     def x_at(self, t: float) -> float:
@@ -236,7 +230,8 @@ def _arc_interp(arc: ParamArc, t: float, col: int) -> float:
         return pts[0][col]
     if t >= pts[-1][0]:
         return pts[-1][col]
-    j = bisect.bisect_right(arc._ts, t)
+    ts = [s[0] for s in pts]
+    j = bisect.bisect_right(ts, t)
     t0, t1 = pts[j - 1][0], pts[j][0]
     v0, v1 = pts[j - 1][col], pts[j][col]
     if t1 == t0:

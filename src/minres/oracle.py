@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .body import Flat, Linear, ParamArc, Profile, ProblemSpec
 from .criticals import CriticalValues, critical_values, relaxed_p
@@ -168,30 +167,28 @@ def brute_force(spec: ProblemSpec, branch: str, beta: float,
     steps = np.arange(m_max + 1)
     p_step = np.array([model.p(float(m * dx / dt)) for m in steps])
 
-    # band DP: height k is reached from k - m for steps m = 0..m_max;
-    # window column j holds predecessor k - m_max + j (step m_max - j),
-    # so argmin keeps the lowest predecessor on ties
     K = n_heights + 1
-    rows = np.arange(K)
-    p_band = p_step[::-1]
-    J = np.full(m_max + K, np.inf)  # m_max unreachable heights below 0
-    J[m_max] = 0.0
-    steps_taken = np.empty((n_cells, K), dtype=np.int32)
+    idx = np.subtract.outer(np.arange(K), np.arange(K))  # k' - k
+    valid = (idx >= 0) & (idx <= m_max)
+    p_mat = np.where(valid, p_step[np.clip(idx, 0, m_max)], np.inf)
+
+    J = np.full(K, np.inf)
+    J[0] = 0.0
+    choices = np.empty((n_cells, K), dtype=np.int32)
     for i in range(n_cells):
-        cand = sliding_window_view(J, m_max + 1) + weights[i] * p_band
-        j = np.argmin(cand, axis=1)
-        steps_taken[i] = m_max - j
-        J[m_max:] = cand[rows, j]
-    best = float(J[m_max + n_heights])
+        cand = J[np.newaxis, :] + weights[i] * p_mat
+        choices[i] = np.argmin(cand, axis=1)
+        J = cand[np.arange(K), choices[i]]
+    best = float(J[n_heights])
     if not math.isfinite(best):
         raise InfeasibleGrid("no admissible step profile on this grid")
 
     slopes = []
     k = n_heights
     for i in range(n_cells - 1, -1, -1):
-        m = int(steps_taken[i][k])
-        slopes.append(m * dx / dt)
-        k -= m
+        k_prev = int(choices[i][k])
+        slopes.append((k - k_prev) * dx / dt)
+        k = k_prev
     slopes.reverse()
 
     best *= factor

@@ -76,15 +76,16 @@ def profile_svg(solution: BodySolution, n_uniform: int = 256) -> str:
     def py(z: float) -> float:
         return y0 - s * z
 
-    # closed outline: front surface left-to-right, rear surface back;
-    # each half is the mirror image of the other, so evaluate once
-    front = [(t, H - solution.front.x_at(t)) for t in grid]
-    rear = [(t, solution.rear.x_at(t)) for t in grid]
+    # closed outline: front surface left-to-right, rear surface back
     pts = []
-    pts.extend((px(-t), py(z)) for t, z in reversed(front))
-    pts.extend((px(t), py(z)) for t, z in front)
-    pts.extend((px(t), py(z)) for t, z in reversed(rear))
-    pts.extend((px(-t), py(z)) for t, z in rear)
+    for t in reversed(grid):  # left half of the front, r = -t
+        pts.append((px(-t), py(H - solution.front.x_at(t))))
+    for t in grid:  # right half of the front
+        pts.append((px(t), py(H - solution.front.x_at(t))))
+    for t in reversed(grid):  # right half of the rear
+        pts.append((px(t), py(solution.rear.x_at(t))))
+    for t in grid:  # left half of the rear
+        pts.append((px(-t), py(solution.rear.x_at(t))))
     path = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
 
     ticks = []

@@ -1,92 +1,12 @@
-"""Fast paths checked against plain reference implementations.
+"""Profile lookups checked against a plain reference implementation.
 
-* brute_force runs its DP over the band of admissible steps; the
-  reference below is the dense (heights x heights) DP it replaced, and
-  the two must agree bit for bit on the acceptance matrix.
-* Profile lookups bisect cached segment ends and arc abscissae; the
-  reference scans the segments and samples linearly.
+Profile lookups bisect segment ends and arc abscissae; the reference
+scans the segments and samples linearly.
 """
-
-import numpy as np
-import pytest
 
 from minres import solve
 from minres.body import Flat, Linear, ParamArc
-from minres.criticals import critical_values, relaxed_p
-from minres.oracle import BruteForceResult, brute_force
-from minres.spatial import GTable, resistance_branch, solve_height_for_U
-from test_acceptance import MATRIX, _spec_for
-
-
-def dense_brute_force(spec, branch, beta, n_cells, n_heights):
-    """Dense DP over all (height, height) pairs, masking inadmissible steps."""
-    model = spec.p_plus if branch == "front" else spec.p_minus
-    T, d = spec.T, spec.d
-    factor = spec.resistance_factor
-    cv = critical_values(model)
-    if d == 2:
-        analytic = factor * T * relaxed_p(model, cv, beta / T)
-    else:
-        gt = GTable(model, cv, d)
-        ex = solve_height_for_U(gt, beta / T, T)
-        analytic = factor * resistance_branch(gt, ex, T, d)
-
-    dt = T / n_cells
-    edges = np.arange(n_cells + 1) * dt
-    weights = edges[1:] ** (d - 1) - edges[:-1] ** (d - 1)
-    u_cap = 4.0 * max(1.0, beta / T, cv.u0)
-    dx = beta / n_heights
-    m_max = min(n_heights, int(u_cap * dt / dx * (1.0 + 1e-12)))
-    p_step = np.array([model.p(float(m * dx / dt))
-                       for m in np.arange(m_max + 1)])
-
-    K = n_heights + 1
-    idx = np.subtract.outer(np.arange(K), np.arange(K))  # k' - k
-    valid = (idx >= 0) & (idx <= m_max)
-    p_mat = np.where(valid, p_step[np.clip(idx, 0, m_max)], np.inf)
-    J = np.full(K, np.inf)
-    J[0] = 0.0
-    choices = np.empty((n_cells, K), dtype=np.int32)
-    for i in range(n_cells):
-        cand = J[np.newaxis, :] + weights[i] * p_mat
-        choices[i] = np.argmin(cand, axis=1)
-        J = cand[np.arange(K), choices[i]]
-    best = float(J[n_heights])
-
-    slopes = []
-    k = n_heights
-    for i in range(n_cells - 1, -1, -1):
-        k_prev = int(choices[i][k])
-        slopes.append((k - k_prev) * dx / dt)
-        k = k_prev
-    slopes.reverse()
-    best *= factor
-    return BruteForceResult(n_cells=n_cells, n_heights=n_heights, u_cap=u_cap,
-                            best_value=best, best_profile=tuple(slopes),
-                            analytic_value=analytic, gap=best - analytic)
-
-
-@pytest.fixture(scope="module")
-def matrix_branches():
-    """(spec, branch, beta) for every matrix branch carrying height."""
-    out = []
-    for row in MATRIX:
-        sol = solve(_spec_for(*row))
-        spec = sol.spec
-        for branch, beta, model in (("front", sol.beta_plus, spec.p_plus),
-                                    ("rear", sol.beta_minus, spec.p_minus)):
-            if not model.is_zero and beta > 0.0:
-                out.append((spec, branch, beta))
-    return out
-
-
-@pytest.mark.parametrize("grid", [(200, 400), (400, 800)])
-def test_band_dp_matches_dense_dp(matrix_branches, grid):
-    assert len(matrix_branches) == 15
-    for spec, branch, beta in matrix_branches:
-        fast = brute_force(spec, branch, beta, *grid)
-        ref = dense_brute_force(spec, branch, beta, *grid)
-        assert fast == ref, (spec.d, spec.H, branch, grid)
+from test_acceptance import _spec_for
 
 
 def _rise(seg):
