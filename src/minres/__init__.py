@@ -8,7 +8,7 @@ optimality.  The `oracle` module provides independent certification
 (sampled maximality check and a brute-force dynamic program).
 """
 
-from .body import (BodySolution, Flat, Linear, ParamArc, Profile, ProblemSpec,
+from .body import (BodySolution, Linear, ParamArc, Profile, ProblemSpec,
                    flat_profile, unit_ball_volume)
 from .classical import ClassicalSolution, newton3, newton4
 from .criticals import (CriticalValues, PairCriticals, critical_values,
@@ -45,7 +45,7 @@ def solve(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
 __all__ = [
     "AssumptionViolated", "BodySolution", "BruteForceResult",
     "ClassicalSolution", "CriticalValues", "DomainError", "Dual2",
-    "ExprSyntaxError", "Flat", "GTable", "InfeasibleGrid", "InvalidParameter",
+    "ExprSyntaxError", "GTable", "InfeasibleGrid", "InvalidParameter",
     "Linear", "MaximalityReport", "MinresError", "NoConvergence",
     "NotUnimodal", "PairCriticals", "ParamArc", "PressureModel",
     "ProblemSpec", "Profile", "QuadratureFailure", "SpatialExtremal",

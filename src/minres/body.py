@@ -3,8 +3,8 @@
 A body of revolution with radius T and height H is described by two
 monotone profiles on the radial interval [0, T]: the front surface
 measured down from the top and the rear surface measured up from the
-base.  Each profile is a tiling of flat spans, straight spans, and
-sampled parametric arcs; x(0) = 0 and x(T) = beta is the height that
+base.  Each profile is a tiling of straight spans (slope 0 on a flat
+cap) and sampled arcs; x(0) = 0 and x(T) = beta is the height that
 surface carries, with beta_front + beta_rear = H.
 """
 
@@ -61,16 +61,6 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
-class Flat:
-    t_from: float
-    t_to: float
-
-    @property
-    def slope(self) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
 class Linear:
     t_from: float
     t_to: float
@@ -96,7 +86,7 @@ class ParamArc:
         return self.samples[-1][0]
 
 
-Segment = Flat | Linear | ParamArc
+Segment = Linear | ParamArc
 
 _TILE_TOL = 1e-9
 
@@ -144,22 +134,13 @@ class Profile:
     def x_at(self, t: float) -> float:
         i = self._locate(t)
         seg = self.segments[i]
-        x0 = self._starts[i]
-        if isinstance(seg, Flat):
-            return x0
         if isinstance(seg, Linear):
-            return x0 + seg.slope * (t - seg.t_from)
+            return self._starts[i] + seg.slope * (t - seg.t_from)
         return _arc_interp(seg, t, 1)
 
     def slope_at(self, t: float) -> float:
         """Right-continuous slope (at T: the final slope)."""
-        i = self._locate(t)
-        seg = self.segments[i]
-        if isinstance(seg, Flat):
-            return 0.0
-        if isinstance(seg, Linear):
-            return seg.slope
-        return _arc_interp(seg, t, 2)
+        return _segment_slope(self.segments[self._locate(t)], t)
 
     def slope_if_unambiguous(self, t: float) -> float | None:
         """As slope_at, but None at interior kinks (one-sided slopes differ)."""
@@ -168,8 +149,8 @@ class Profile:
         eps = _TILE_TOL * max(1.0, self.T)
         if i > 0 and abs(t - seg.t_from) <= eps:
             prev = self.segments[i - 1]
-            left = _segment_end_slope(prev)
-            right = _segment_start_slope(seg)
+            left = _segment_slope(prev, prev.t_to)
+            right = _segment_slope(seg, seg.t_from)
             if abs(left - right) > 1e-9 * max(1.0, abs(left), abs(right)):
                 return None
         return self.slope_at(t)
@@ -179,49 +160,33 @@ class Profile:
         for seg in self.segments:
             if isinstance(seg, Linear):
                 worst = max(worst, seg.slope)
-            elif isinstance(seg, ParamArc):
+            else:
                 worst = max(worst, max(s[2] for s in seg.samples))
         return worst
 
-    def is_convex(self, tol: float = 1e-9) -> bool:
-        """Whether slopes are nondecreasing along the profile."""
+    def is_convex(self) -> bool:
+        """Whether slopes are nondecreasing (to 1e-9) along the profile."""
         prev = -math.inf
         for seg in self.segments:
-            if isinstance(seg, ParamArc):
-                for _, _, u in seg.samples:
-                    if u < prev - tol:
-                        return False
-                    prev = u
-            else:
-                s = seg.slope if isinstance(seg, Linear) else 0.0
-                if s < prev - tol:
+            slopes = ([u for _, _, u in seg.samples]
+                      if isinstance(seg, ParamArc) else [seg.slope])
+            for u in slopes:
+                if u < prev - 1e-9:
                     return False
-                prev = s
+                prev = u
         return True
 
 
 def _segment_rise(seg: Segment) -> float:
-    if isinstance(seg, Flat):
-        return 0.0
     if isinstance(seg, Linear):
         return seg.slope * (seg.t_to - seg.t_from)
     return seg.samples[-1][1] - seg.samples[0][1]
 
 
-def _segment_start_slope(seg: Segment) -> float:
-    if isinstance(seg, Flat):
-        return 0.0
+def _segment_slope(seg: Segment, t: float) -> float:
     if isinstance(seg, Linear):
         return seg.slope
-    return seg.samples[0][2]
-
-
-def _segment_end_slope(seg: Segment) -> float:
-    if isinstance(seg, Flat):
-        return 0.0
-    if isinstance(seg, Linear):
-        return seg.slope
-    return seg.samples[-1][2]
+    return _arc_interp(seg, t, 2)
 
 
 def _arc_interp(arc: ParamArc, t: float, col: int) -> float:
@@ -254,7 +219,7 @@ def split_height(H: float, first: float) -> tuple[float, float]:
 
 
 def flat_profile(T: float) -> Profile:
-    return Profile(T=T, segments=(Flat(0.0, T),), beta=0.0)
+    return Profile(T=T, segments=(Linear(0.0, T, 0.0),), beta=0.0)
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,11 @@ def _build_spec(args) -> ProblemSpec:
                        include_ball_volume=args.ball_volume)
 
 
-def _opt(x: float | None) -> float | None:
-    if x is None:
-        return None
-    return None if (isinstance(x, float) and math.isinf(x)) else x
+def _opt(x):
+    """x for JSON, with non-finite floats as null, also inside tuples."""
+    if isinstance(x, (tuple, list)):
+        return [_opt(v) for v in x]
+    return None if (isinstance(x, float) and not math.isfinite(x)) else x
 
 
 def _validation_summary(model: PressureModel) -> dict:
@@ -322,16 +323,15 @@ def main(argv=None) -> int:
     except _CliError as err:
         print(json.dumps(err.payload), file=sys.stderr)
         return err.code
-    except (NoConvergence, QuadratureFailure, InfeasibleGrid) as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
-              file=sys.stderr)
-        return _EXIT_SOLVER
     except MinresError as err:
         payload = {"error": type(err).__name__, "message": str(err)}
-        offset = getattr(err, "offset", None)
-        if offset is not None:
-            payload["offset"] = offset
+        for key in ("offset", "bracket", "residual", "witness", "witnesses"):
+            value = getattr(err, key, None)
+            if value is not None:
+                payload[key] = _opt(value)
         print(json.dumps(payload), file=sys.stderr)
+        if isinstance(err, (NoConvergence, QuadratureFailure, InfeasibleGrid)):
+            return _EXIT_SOLVER
         return _EXIT_INPUT
     except OSError as err:
         print(json.dumps({"error": "OSError", "message": str(err)}),

@@ -31,21 +31,21 @@ class CriticalValues:
     B: float
 
 
-def _scan_peaks(f, u_max: float):
-    """Geometric scan of f on (0, u_max]; returns (grid, values, peaks)."""
+def _scan_peaks(f):
+    """Geometric scan of f on (0, 1e6]; returns (grid, values, peaks)."""
     us = []
     u = 1e-6
-    while u <= u_max:
+    while u <= 1e6:
         us.append(u)
         u *= 2.0
-    us.append(u_max)
+    us.append(1e6)
     vals = [f(v) for v in us]
     peaks = [i for i in range(1, len(us) - 1)
              if vals[i - 1] < vals[i] >= vals[i + 1]]
     return us, vals, peaks
 
 
-def critical_values(model: PressureModel, u_max: float = 1e6) -> CriticalValues:
+def critical_values(model: PressureModel) -> CriticalValues:
     """Locate (u_bar, u0, B); raises NotUnimodal on multi-peaked laws."""
     if model.is_zero:
         raise InvalidParameter("critical values undefined for the zero law")
@@ -54,9 +54,9 @@ def critical_values(model: PressureModel, u_max: float = 1e6) -> CriticalValues:
     def drop_rate(u: float) -> float:
         return (p0 - model.p(u)) / u
 
-    us, vals, peaks = _scan_peaks(drop_rate, u_max)
+    us, vals, peaks = _scan_peaks(drop_rate)
     if not peaks:
-        # maximum at the scan edge: law keeps improving toward 0 or u_max
+        # maximum at the scan edge: law keeps improving toward 0 or 1e6
         raise NotUnimodal("no interior maximum of the drop rate",
                           witnesses=(us[0], us[-1]))
     fmax = max(vals[i] for i in peaks)

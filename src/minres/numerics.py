@@ -16,13 +16,14 @@ _EPS = 2.220446049250313e-16
 _XTOL = 1e-12
 
 
-def bracket_root(f, a: float, b: float, max_iter: int = 200) -> float:
+def bracket_root(f, a: float, b: float) -> float:
     """Root of f on [a, b] by bisection with inverse interpolation.
 
     f(a) and f(b) must differ in sign (or one endpoint be an exact root).
     The interpolation step is accepted only when it stays inside the
     current bracket and shrinks it fast enough; otherwise the step falls
     back to bisection, so the bracket width is guaranteed to collapse.
+    Raises NoConvergence after 200 iterations.
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -36,7 +37,7 @@ def bracket_root(f, a: float, b: float, max_iter: int = 200) -> float:
     # c tracks the previous iterate so |f(b)| <= |f(a)| can be restored.
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(200):
         if (fb < 0.0) == (fc < 0.0):
             c, fc = a, fa
             d = e = b - a
@@ -73,42 +74,42 @@ def bracket_root(f, a: float, b: float, max_iter: int = 200) -> float:
                         bracket=(min(a, c), max(a, c)), residual=fb)
 
 
-def grow_bracket_upper(f, lo: float, width: float, factor: float = 2.0,
-                       max_steps: int = 200) -> tuple[float, float]:
-    """Expand [lo, lo+width, ...] geometrically until f changes sign.
+def grow_bracket_upper(f, lo: float, width: float) -> tuple[float, float]:
+    """Expand [lo, lo+width, ...], doubling the width, until f changes sign.
 
     Returns a sign-change interval (a, b) with lo <= a < b.  Used for
-    roots known to exist somewhere to the right of lo.
+    roots known to exist somewhere to the right of lo; raises
+    NoConvergence after 200 steps.
     """
     fa = f(lo)
     if fa == 0.0:
         return lo, lo
     a = lo
-    for _ in range(max_steps):
+    for _ in range(200):
         b = a + width
         fb = f(b)
         if fb == 0.0 or (fa < 0.0) != (fb < 0.0):
             return a, b
         a, fa = b, fb
-        width *= factor
+        width *= 2.0
     raise NoConvergence("no sign change while growing bracket",
                         bracket=(lo, a), residual=fa)
 
 
-def golden_section_max(f, a: float, b: float, rtol: float = 1e-12,
-                       max_iter: int = 400) -> tuple[float, float]:
+def golden_section_max(f, a: float, b: float) -> tuple[float, float]:
     """Maximize a unimodal f on [a, b]; returns (x, f(x)).
 
-    Localizes the maximizer to width rtol*max(1, |x|).  Interior maxima
-    of smooth functions cannot be pinned tighter than ~sqrt(eps) this
-    way; callers needing more polish the stationarity equation.
+    Localizes the maximizer to width 1e-12*max(1, |x|) in <= 400 steps.
+    Interior maxima of smooth functions cannot be pinned tighter than
+    ~sqrt(eps) this way; callers needing more polish the stationarity
+    equation.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= rtol * max(1.0, abs(a), abs(b)):
+    for _ in range(400):
+        if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
             break
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
@@ -122,12 +123,11 @@ def golden_section_max(f, a: float, b: float, rtol: float = 1e-12,
     return x, f(x)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11,
-                     max_intervals: int = 100_000) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     Classic adaptive Simpson with Richardson correction; raises
-    QuadratureFailure when the interval budget is exhausted.
+    QuadratureFailure when its budget of 100,000 intervals is exhausted.
     """
     if a == b:
         return 0.0
@@ -140,9 +140,9 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11,
     used = 0
     while stack:
         used += 1
-        if used > max_intervals:
+        if used > 100_000:
             raise QuadratureFailure(
-                f"interval budget {max_intervals} exhausted on [{a}, {b}]")
+                f"interval budget 100000 exhausted on [{a}, {b}]")
         a0, b0, fa0, fm0, fb0, whole0, tol0 = stack.pop()
         m0 = 0.5 * (a0 + b0)
         lm = f(0.5 * (a0 + m0))

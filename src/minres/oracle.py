@@ -9,7 +9,7 @@ Three checks that never reuse the solvers' case analysis:
   height grid (no convexity assumed); its best value can only sit above
   the analytic optimum by discretization slack.
 * resistance_quadrature: evaluates the resistance functional on
-  arbitrary profiles (exact on flat/straight spans, Simpson on arcs).
+  arbitrary profiles (exact on straight spans, Simpson on arcs).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import Flat, Linear, ParamArc, Profile, ProblemSpec
+from .body import ParamArc, Profile, ProblemSpec
 from .criticals import CriticalValues, critical_values, relaxed_p
 from .errors import InfeasibleGrid, InvalidParameter, QuadratureFailure
 from .pressure import PressureModel
@@ -44,12 +44,13 @@ class MaximalityReport:
 
 
 def check_maximality(spec: ProblemSpec, branch: str, profile: Profile,
-                     lam: float, n_t: int = 64, n_u: int = 256,
-                     u_max: float | None = None) -> MaximalityReport:
+                     lam: float, n_t: int = 64,
+                     n_u: int = 256) -> MaximalityReport:
     """Sampled Pontryagin check of one branch against its multiplier.
 
     For each sampled radius t in (0, T], the profile's slope must
-    minimize h_t(u) = t^{d-2} p(u) + lam u over the slope grid.  The
+    minimize h_t(u) = t^{d-2} p(u) + lam u over the slope grid: 0 and
+    a geometric grid up to 4 * max(1, profile.max_slope()).  The
     reported violation is max_t [h_t(slope(t)) - min_u h_t(u)], and the
     pass threshold is 1e-8 * scale with scale = 1 + max |h_t| over the
     scan (h_t carries no natural unit of its own, so the grid maximum
@@ -61,8 +62,7 @@ def check_maximality(spec: ProblemSpec, branch: str, profile: Profile,
         raise InvalidParameter("need n_t >= 2 and n_u >= 8")
     model = _branch_model(spec, branch)
     T, d = spec.T, spec.d
-    if u_max is None:
-        u_max = 4.0 * max(1.0, profile.max_slope())
+    u_max = 4.0 * max(1.0, profile.max_slope())
 
     u_grid = np.concatenate(([0.0], np.geomspace(u_max * 1e-6, u_max,
                                                  n_u - 1)))
@@ -119,14 +119,16 @@ def _analytic_branch_value(spec: ProblemSpec, model: PressureModel,
 
 
 def brute_force(spec: ProblemSpec, branch: str, beta: float,
-                n_cells: int = 200, n_heights: int = 400,
-                u_cap: float | None = None) -> BruteForceResult:
+                n_cells: int = 200, n_heights: int = 400) -> BruteForceResult:
     """Exact DP over monotone step profiles on the (cells x heights) grid.
 
     Profiles are nondecreasing with x(T) = beta hit exactly on the
     height grid; convexity is not enforced.  The value is the true
     minimum of the discretized class, so gap >= 0 up to roundoff and
-    shrinks as the grid refines.
+    shrinks as the grid refines.  Slopes are capped at
+    4 * max(1, beta/T, u0), wide enough for every slope the analytic
+    solution can use: flat-cap corners sit at u0 and steep branches at
+    ~beta/T.
     """
     if branch not in ("front", "rear"):
         raise InvalidParameter(f"branch must be 'front' or 'rear', got {branch!r}")
@@ -147,17 +149,14 @@ def brute_force(spec: ProblemSpec, branch: str, beta: float,
     if beta == 0.0:
         value = factor * model.p(0.0) * T ** (d - 1)
         return BruteForceResult(n_cells=n_cells, n_heights=n_heights,
-                                u_cap=u_cap if u_cap is not None else 0.0,
+                                u_cap=0.0,
                                 best_value=value,
                                 best_profile=(0.0,) * n_cells,
                                 analytic_value=analytic,
                                 gap=value - analytic)
 
-    if u_cap is None:
-        # wide enough for every slope the analytic solution can use:
-        # flat-cap corners sit at u0 and steep branches at ~beta/T
-        u0 = 0.0 if cv is None else cv.u0
-        u_cap = 4.0 * max(1.0, beta / T, u0)
+    u0 = 0.0 if cv is None else cv.u0
+    u_cap = 4.0 * max(1.0, beta / T, u0)
     dx = beta / n_heights
     m_max = min(n_heights, int(u_cap * dt / dx * (1.0 + 1e-12)))
     if m_max < 1 or m_max * n_cells < n_heights:
@@ -257,7 +256,7 @@ def resistance_quadrature(spec: ProblemSpec, branch: str,
                           profile: Profile) -> float:
     """Resistance of one branch of an arbitrary admissible profile.
 
-    Exact segment sums on flat/straight spans.  On arcs, a coarse/fine
+    Exact segment sums on straight spans.  On arcs, a coarse/fine
     Richardson estimate certifies 1e-9*(1+|value|); denser arc samples
     buy more accuracy.
     """
@@ -277,7 +276,6 @@ def resistance_quadrature(spec: ProblemSpec, branch: str,
                     "sample the arc more densely")
             total += fine
         else:
-            slope = seg.slope if isinstance(seg, Linear) else 0.0
-            total += model.p(slope) * (seg.t_to ** (d - 1)
-                                       - seg.t_from ** (d - 1))
+            total += model.p(seg.slope) * (seg.t_to ** (d - 1)
+                                           - seg.t_from ** (d - 1))
     return spec.resistance_factor * total

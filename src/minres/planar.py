@@ -18,8 +18,8 @@ a single straight span of slope >= u0 (the two agree at slope u0).
 from __future__ import annotations
 
 from .body import (DOUBLE_TRIANGLE, FLAT_DISK, FRONT_TRAPEZIUM, FRONT_TRIANGLE,
-                   TRIANGLE_OVER_TRAPEZIUM, BodySolution, Flat, Linear,
-                   Profile, ProblemSpec, flat_profile, split_height)
+                   TRIANGLE_OVER_TRAPEZIUM, BodySolution, Linear, Profile,
+                   ProblemSpec, flat_profile, split_height)
 from .criticals import PairCriticals, pair_criticals, relaxed_p
 from .errors import InvalidParameter
 from .numerics import bracket_root
@@ -52,8 +52,8 @@ def _cap_then_slope(T: float, beta: float, slope: float) -> Profile:
     t_knee = T - beta / slope
     if t_knee <= 0.0:
         return Profile(T=T, segments=(Linear(0.0, T, slope),), beta=beta)
-    return Profile(T=T, segments=(Flat(0.0, t_knee), Linear(t_knee, T, slope)),
-                   beta=beta)
+    return Profile(T=T, segments=(Linear(0.0, t_knee, 0.0),
+                                  Linear(t_knee, T, slope)), beta=beta)
 
 
 def solve2d(spec: ProblemSpec) -> BodySolution:

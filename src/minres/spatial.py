@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import (FLAT_DISK, SPATIAL, BodySolution, Flat, ParamArc, Profile,
-                   ProblemSpec, flat_profile, split_height)
+from .body import (FLAT_DISK, SPATIAL, BodySolution, Linear, ParamArc,
+                   Profile, ProblemSpec, flat_profile, split_height)
 from .criticals import CriticalValues, pair_criticals
 from .errors import AssumptionViolated, InvalidParameter, NoConvergence
 from .numerics import adaptive_simpson, bracket_root, grow_bracket_upper
@@ -144,7 +144,10 @@ def _invert_height(gt: GTable, h: float) -> float:
 
 def extremal_from_U(gt: GTable, U: float, T: float,
                     n_samples: int = 256) -> SpatialExtremal:
-    """Build the full branch data for a known terminal slope."""
+    """Branch data for terminal slope U; an arc gets n_samples >= 3."""
+    if n_samples < 3:
+        raise InvalidParameter(
+            f"n_samples must be at least 3, got {n_samples!r}")
     cv = gt.cv
     d, omega = gt.d, gt.omega
     if U <= cv.u0:
@@ -204,7 +207,7 @@ def _profile_from_extremal(ex: SpatialExtremal) -> Profile:
         return flat_profile(ex.T)
     segments = []
     if ex.t0 > 0.0:
-        segments.append(Flat(0.0, ex.t0))
+        segments.append(Linear(0.0, ex.t0, 0.0))
     segments.append(ParamArc(samples=tuple((t, x, u) for u, t, x in ex.samples)))
     return Profile(T=ex.T, segments=tuple(segments), beta=ex.beta)
 

@@ -1,6 +1,7 @@
 """CLI behavior: flags, files, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -193,6 +194,31 @@ def test_exit_3_on_solver_nonconvergence(capsys, monkeypatch):
     assert rc == 3
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "NoConvergence"
+    assert payload["bracket"] == [0.0, 1.0]
+    assert payload["residual"] == 1.0
+
+
+def test_error_line_writes_non_finite_as_null(capsys, monkeypatch):
+    def explode(spec, n_samples=256):
+        raise NoConvergence("synthetic", bracket=(0.0, math.inf),
+                            residual=math.nan)
+
+    monkeypatch.setattr(cli, "solve", explode)
+    rc = run(["solve", "--dim", "2", "--T", "2", "--H", "1"] + PAIR)
+    assert rc == 3
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["bracket"] == [0.0, None]
+    assert payload["residual"] is None
+
+
+def test_error_line_carries_witnesses(capsys):
+    """exp(-u) keeps improving toward u=0: NotUnimodal with scan ends."""
+    rc = run(["solve", "--dim", "2", "--T", "1", "--H", "1",
+              "--p-plus", "exp(-u)", "--p-minus", "zero"])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "NotUnimodal"
+    assert payload["witnesses"] == [1e-06, 1000000.0]
 
 
 def test_classify_line_format(capsys):

@@ -1,0 +1,45 @@
+"""Export bytes pinned by digest on the 12-instance acceptance matrix.
+
+`profile_csv` and `profile_svg` at 256 samples are hashed and compared
+with digests recorded from the released exports.  Reruns are compared
+elsewhere (`test_cli.test_determinism_byte_identical`); this test is the
+one that notices when a change to the solvers or the profile model moves
+an exported byte.  A deliberate change of output updates these digests
+in the same commit and says so.  Float formatting is repr, so the
+digests hold on any IEEE-754 platform whose libm agrees to the last bit.
+"""
+
+import hashlib
+
+import pytest
+
+from minres import solve
+from minres.render import profile_csv, profile_svg
+from test_acceptance import MATRIX, _spec_for
+
+# (d, T, H, flux): first 16 hex digits of sha256 of (CSV, SVG)
+DIGESTS = {
+    (2, 2.0, 1.0, "parallel"): ("0dddae57e61e20a0", "11536fda67e05bde"),
+    (2, 2.0, 3.0, "parallel"): ("8b2541bf734a648b", "e9a659161633cb4b"),
+    (2, 2.0, 1.0, "pair"): ("716f6bf361c7845d", "1275e8f6073cbb01"),
+    (2, 2.0, 6.0, "pair"): ("a49e7bb615008953", "2e2423203c9acf84"),
+    (3, 1.0, 0.4, "parallel"): ("9607b9401438d158", "7a0fb2e08d5fc8da"),
+    (3, 1.0, 0.55, "parallel"): ("2ba51acf26cad591", "4a98e2c84a5c78ec"),
+    (3, 1.0, 0.4, "pair"): ("ae10b8275c3de00f", "7a0fb2e08d5fc8da"),
+    (3, 1.0, 0.8, "pair"): ("fef08a4156be769b", "c482187e5c9a3b6f"),
+    (4, 1.0, 0.25, "parallel"): ("2e9cf6c7f7b6fae4", "87baff5ed086d9c6"),
+    (4, 1.0, 0.45, "parallel"): ("646f7cfd2ed152f0", "e044472a0cd84b44"),
+    (4, 1.0, 0.2, "pair"): ("9fd53b9c2324f7d2", "2982f205758e5ca2"),
+    (4, 1.0, 0.5, "pair"): ("eb5ff8a2dec9c1cf", "74a35d26a2c97691"),
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("row", MATRIX, ids=lambda r: "-".join(map(str, r)))
+def test_exports_match_recorded_digests(row):
+    sol = solve(_spec_for(*row), n_samples=256)
+    assert (_digest(profile_csv(sol, 256)),
+            _digest(profile_svg(sol, 256))) == DIGESTS[row]

@@ -127,8 +127,8 @@ def test_brute_force_grid_limits():
     with pytest.raises(InvalidParameter):
         brute_force(spec, "front", 4.0, 4000, 400)  # beyond desk scale
     with pytest.raises(InfeasibleGrid):
-        # u_cap 0.5 cannot reach beta/T = 2 on any grid
-        brute_force(spec, "front", 4.0, 10, 20, u_cap=0.5)
+        # one height step of 4 in a cell of 0.001 needs slope 4000; cap is 8
+        brute_force(spec, "front", 4.0, 2000, 1)
 
 
 def test_quadrature_exact_on_linear_segments():

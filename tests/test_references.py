@@ -5,13 +5,11 @@ scans the segments and samples linearly.
 """
 
 from minres import solve
-from minres.body import Flat, Linear, ParamArc
+from minres.body import Linear, ParamArc
 from test_acceptance import _spec_for
 
 
 def _rise(seg):
-    if isinstance(seg, Flat):
-        return 0.0
     if isinstance(seg, Linear):
         return seg.slope * (seg.t_to - seg.t_from)
     return seg.samples[-1][1] - seg.samples[0][1]
@@ -44,16 +42,12 @@ def _scan_arc(arc, t, col):
 def ref_x_at(profile, t):
     i, x0 = _scan(profile, t)
     seg = profile.segments[i]
-    if isinstance(seg, Flat):
-        return x0
     if isinstance(seg, Linear):
         return x0 + seg.slope * (t - seg.t_from)
     return _scan_arc(seg, t, 1)
 
 
 def _slope(seg, t):
-    if isinstance(seg, Flat):
-        return 0.0
     if isinstance(seg, Linear):
         return seg.slope
     return _scan_arc(seg, t, 2)
@@ -100,7 +94,8 @@ def _assert_lookups_match(profile):
 def test_lookups_match_scan_on_planar_cap_then_slope():
     sol = solve(_spec_for(2, 2.0, 1.0, "pair"))
     front = sol.front
-    assert [type(s) for s in front.segments] == [Flat, Linear]
+    assert [type(s) for s in front.segments] == [Linear, Linear]
+    assert front.segments[0].slope == 0.0
     knee = front.segments[0].t_to
     assert front.slope_if_unambiguous(knee) is None
     _assert_lookups_match(front)
@@ -110,5 +105,6 @@ def test_lookups_match_scan_on_planar_cap_then_slope():
 def test_lookups_match_scan_on_two_arc_split():
     sol = solve(_spec_for(3, 1.0, 0.8, "pair"))
     for profile in (sol.front, sol.rear):
-        assert [type(s) for s in profile.segments] == [Flat, ParamArc]
+        assert [type(s) for s in profile.segments] == [Linear, ParamArc]
+        assert profile.segments[0].slope == 0.0
         _assert_lookups_match(profile)

@@ -275,6 +275,24 @@ def test_solve_rejects_too_few_samples(d, n_samples):
         solve(spec, n_samples=n_samples)
 
 
+@pytest.mark.parametrize("n_samples", [-1, 0, 1, 2])
+def test_spatial_entry_points_reject_too_few_samples(n_samples):
+    """Called directly, the d >= 3 entry points refuse to build a short arc.
+
+    An arc built from one sample is empty: solve_spatial would then
+    report the flat disk's R_total=1.0 for this curved body (0.6075...).
+    """
+    gt = newton_gtable(3)
+    spec = ProblemSpec(d=3, T=1.0, H=0.5, p_plus=make_builtin(1.0, 0.0),
+                       p_minus=make_zero())
+    with pytest.raises(InvalidParameter):
+        extremal_from_U(gt, 2.0, 1.0, n_samples=n_samples)
+    with pytest.raises(InvalidParameter):
+        solve_height_for_U(gt, 0.5, 1.0, n_samples=n_samples)
+    with pytest.raises(InvalidParameter):
+        solve_spatial(spec, n_samples=n_samples)
+
+
 def test_solve_accepts_three_samples():
     spec = ProblemSpec(d=3, T=1.0, H=0.5, p_plus=make_builtin(1.0, 0.0),
                        p_minus=make_zero())
