@@ -152,12 +152,12 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     spec = _build_spec(args)
     solution = solve(spec, n_samples=args.samples)
-    timing = ((time.perf_counter() - started) * 1000.0
-              if args.timing else None)
     if args.out_profile:
         _write(args.out_profile, profile_csv(solution, args.samples))
     if args.out_svg:
         _write(args.out_svg, profile_svg(solution, args.samples))
+    timing = ((time.perf_counter() - started) * 1000.0
+              if args.timing else None)
     if args.out_report:
         report = _base_report(spec, solution, None, timing)
         _write(args.out_report, json.dumps(report) + "\n")
@@ -231,6 +231,8 @@ def cmd_verify(args) -> int:
         oracle_block["maximality"][branch] = {
             "lambda": rep.lam,
             "worst_violation": rep.worst_violation,
+            "threshold": rep.threshold,
+            "margin": rep.worst_violation / rep.threshold,
             "witness_t": rep.witness_t,
             "witness_u": rep.witness_u,
             "passed": rep.passed,
@@ -255,6 +257,8 @@ def cmd_verify(args) -> int:
             "best_value": res.best_value,
             "analytic_value": res.analytic_value,
             "gap": res.gap,
+            "gap_tol": gap_tol,
+            "margin": res.gap / gap_tol,
             "passed": ok,
         }
         if not ok:
@@ -325,7 +329,8 @@ def main(argv=None) -> int:
         return err.code
     except MinresError as err:
         payload = {"error": type(err).__name__, "message": str(err)}
-        for key in ("offset", "bracket", "residual", "witness", "witnesses"):
+        for key in ("offset", "u", "where", "bracket", "residual", "witness",
+                    "witnesses"):
             value = getattr(err, key, None)
             if value is not None:
                 payload[key] = _opt(value)

@@ -239,27 +239,32 @@ def _chain(a: Dual2, f: float, df: float, d2f: float) -> Dual2:
     return Dual2(f, df * a.d1, d2f * a.d1 * a.d1 + df * a.d2)
 
 
-def _dual_pow_const(a: Dual2, c: float, u: float, where: str) -> Dual2:
+def _domain_error(u: float, e: Expr, reason: str) -> DomainError:
+    """The error for node e at u; e is formatted only when one is raised."""
+    return DomainError(u, format_expr(e), reason)
+
+
+def _dual_pow_const(a: Dual2, c: float, u: float, e: Bin) -> Dual2:
     v = a.value
     if v > 0.0:
         f = v ** c
         return _chain(a, f, c * f / v, c * (c - 1.0) * f / (v * v))
     if v == 0.0:
         if c == 0.0:
-            raise DomainError(u, where, "0^0")
+            raise _domain_error(u, e, "0^0")
         if c < 0.0:
-            raise DomainError(u, where, "zero base with negative exponent")
+            raise _domain_error(u, e, "zero base with negative exponent")
         if c == 1.0:
             return a
         if c < 2.0:
             # v^(c-1) or v^(c-2) blows up in the derivative terms
-            raise DomainError(u, where, "derivative unbounded at zero base")
+            raise _domain_error(u, e, "derivative unbounded at zero base")
         d2 = 2.0 * a.d1 * a.d1 if c == 2.0 else 0.0
         return Dual2(0.0, 0.0, d2)
     # negative base: only integral exponents are defined (Python's float
     # power silently promotes fractional ones to complex)
     if c != round(c):
-        raise DomainError(u, where, "negative base with non-integer exponent")
+        raise _domain_error(u, e, "negative base with non-integer exponent")
     k = int(round(c))
     f = v ** k
     df = k * v ** (k - 1)
@@ -279,7 +284,6 @@ def _eval_node(e: Expr, seed: Dual2, u: float) -> Dual2:
     if isinstance(e, Bin):
         a = _eval_node(e.left, seed, u)
         b = _eval_node(e.right, seed, u)
-        where = format_expr(e)
         try:
             if e.op == "+":
                 return a + b
@@ -289,42 +293,41 @@ def _eval_node(e: Expr, seed: Dual2, u: float) -> Dual2:
                 return a * b
             if e.op == "/":
                 if b.value == 0.0:
-                    raise DomainError(u, where, "division by zero")
+                    raise _domain_error(u, e, "division by zero")
                 return a / b
             if e.op == "^":
                 if b.d1 == 0.0 and b.d2 == 0.0:
-                    return _dual_pow_const(a, b.value, u, where)
+                    return _dual_pow_const(a, b.value, u, e)
                 if a.value <= 0.0:
-                    raise DomainError(u, where,
-                                      "variable exponent needs positive base")
+                    raise _domain_error(
+                        u, e, "variable exponent needs positive base")
                 ln_a = _chain(a, math.log(a.value), 1.0 / a.value,
                               -1.0 / (a.value * a.value))
                 prod = b * ln_a
                 f = math.exp(prod.value)
                 return _chain(prod, f, f, f)
         except OverflowError:
-            raise DomainError(u, where, "overflow") from None
+            raise _domain_error(u, e, "overflow") from None
         raise InvalidParameter(f"unknown operator {e.op!r}")
     if isinstance(e, Call):
         a = _eval_node(e.arg, seed, u)
-        where = format_expr(e)
         v = a.value
         try:
             if e.fn == "ln":
                 if v <= 0.0:
-                    raise DomainError(u, where, "log of non-positive value")
+                    raise _domain_error(u, e, "log of non-positive value")
                 return _chain(a, math.log(v), 1.0 / v, -1.0 / (v * v))
             if e.fn == "exp":
                 f = math.exp(v)
                 return _chain(a, f, f, f)
             if e.fn == "sqrt":
                 if v < 0.0:
-                    raise DomainError(u, where, "sqrt of negative value")
+                    raise _domain_error(u, e, "sqrt of negative value")
                 if v == 0.0:
                     if a.d1 == 0.0 and a.d2 == 0.0:
                         return Dual2(0.0, 0.0, 0.0)
-                    raise DomainError(u, where,
-                                      "derivative unbounded at sqrt(0)")
+                    raise _domain_error(u, e,
+                                        "derivative unbounded at sqrt(0)")
                 r = math.sqrt(v)
                 return _chain(a, r, 0.5 / r, -0.25 / (v * r))
             if e.fn == "abs":
@@ -332,7 +335,7 @@ def _eval_node(e: Expr, seed: Dual2, u: float) -> Dual2:
                 # derivative at the kink is defined as 0
                 return _chain(a, abs(v), s, 0.0)
         except OverflowError:
-            raise DomainError(u, where, "overflow") from None
+            raise _domain_error(u, e, "overflow") from None
         raise UnknownIdentifier(e.fn, 0)
     raise InvalidParameter(f"not an expression node: {e!r}")
 
@@ -345,5 +348,5 @@ def eval2(e: Expr, u: float) -> Dual2:
     out = _eval_node(e, Dual2(u, 1.0, 0.0), u)
     if not (math.isfinite(out.value) and math.isfinite(out.d1)
             and math.isfinite(out.d2)):
-        raise DomainError(u, format_expr(e), "non-finite result")
+        raise _domain_error(u, e, "non-finite result")
     return out

@@ -40,6 +40,7 @@ class MaximalityReport:
     witness_t: float
     witness_u: float
     scale: float
+    threshold: float  # passed is worst_violation <= threshold
     passed: bool
 
 
@@ -84,9 +85,10 @@ def check_maximality(spec: ProblemSpec, branch: str, profile: Profile,
         if violation > worst:
             worst = violation
             wit_t, wit_u = t, float(u_grid[k])
+    threshold = 1e-8 * scale
     return MaximalityReport(lam=lam, worst_violation=worst,
                             witness_t=wit_t, witness_u=wit_u, scale=scale,
-                            passed=worst <= 1e-8 * scale)
+                            threshold=threshold, passed=worst <= threshold)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -110,6 +111,23 @@ def test_timing_flag_populates_field(tmp_path):
     assert rc == 0
     data = json.loads(report.read_text())
     assert isinstance(data["timing_ms"], float) and data["timing_ms"] > 0.0
+
+
+def test_timing_covers_exports(tmp_path, monkeypatch):
+    """Under --timing, timing_ms includes the CSV and SVG writes."""
+    render_svg = cli.profile_svg
+
+    def slow_svg(solution, n_samples):
+        time.sleep(0.25)
+        return render_svg(solution, n_samples)
+
+    monkeypatch.setattr(cli, "profile_svg", slow_svg)
+    report = tmp_path / "r.json"
+    rc = run(["solve", "--dim", "2", "--T", "2", "--H", "1"] + PARALLEL
+             + ["--out-report", str(report), "--out-svg",
+                str(tmp_path / "s.svg"), "--timing"])
+    assert rc == 0
+    assert json.loads(report.read_text())["timing_ms"] >= 250.0
 
 
 def test_exit_2_on_bad_expression(capsys):
@@ -221,6 +239,17 @@ def test_error_line_carries_witnesses(capsys):
     assert payload["witnesses"] == [1e-06, 1000000.0]
 
 
+def test_error_line_carries_domain_witness(capsys):
+    """ln(u) leaves its domain at slope 0: DomainError with u and where."""
+    rc = run(["solve", "--dim", "2", "--T", "1", "--H", "1",
+              "--p-plus", "1/(1+u^2)+ln(u)", "--p-minus", "zero"])
+    assert rc == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "DomainError"
+    assert payload["u"] == 0.0
+    assert payload["where"] == "ln(u)"
+
+
 def test_classify_line_format(capsys):
     rc = run(["classify", "--dim", "2", "--T", "2", "--H", "6"] + PAIR)
     assert rc == 0
@@ -264,6 +293,28 @@ def test_verify_passes(tmp_path, capsys):
     front = data["oracle"]["brute_force"]["front"]
     assert front["gap"] <= 0.01 * data["R_total"]
     assert data["oracle"]["maximality"]["front"]["passed"]
+
+
+def test_verify_report_margins(tmp_path, capsys):
+    """Each branch reports its threshold and margin; reruns match."""
+    texts = []
+    for tag in ("a", "b"):
+        report = tmp_path / f"v{tag}.json"
+        rc = run(["verify", "--dim", "3", "--T", "1", "--H", "0.8"] + PAIR
+                 + ["--grid", "100x200", "--out-report", str(report)])
+        assert rc == 0
+        texts.append(report.read_bytes())
+    assert texts[0] == texts[1]
+    data = json.loads(texts[0])
+    for branch in ("front", "rear"):
+        rep = data["oracle"]["maximality"][branch]
+        assert rep["threshold"] >= 1e-8
+        assert rep["margin"] == rep["worst_violation"] / rep["threshold"]
+        assert rep["passed"] == (rep["margin"] <= 1.0)
+        dp = data["oracle"]["brute_force"][branch]
+        assert dp["gap_tol"] == 0.01 * abs(data["R_total"])
+        assert dp["margin"] == dp["gap"] / dp["gap_tol"]
+        assert dp["passed"] and dp["margin"] <= 1.0
 
 
 def test_verify_classical_parallel(capsys):

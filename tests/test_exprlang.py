@@ -4,10 +4,47 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from minres.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from minres.exprlang import (Bin, Call, Const, Dual2, Neg, Num, Var, eval2,
                              format_expr, parse)
+
+_FUNCTIONS = ("ln", "exp", "sqrt", "abs")
+_CONSTANTS = st.sampled_from((Const("pi"), Const("e")))
+
+
+def _trees(numbers, binary, max_leaves):
+    """ASTs over the given literals; binary(children) builds Bin nodes."""
+    leaves = st.one_of(numbers, st.just(Var()), _CONSTANTS)
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.builds(Neg, children),
+        binary(children),
+        st.builds(Call, st.sampled_from(_FUNCTIONS), children)),
+        max_leaves=max_leaves)
+
+
+# the parser's image: literals are finite and nonnegative, any operator
+# may join any two subtrees
+exprs = _trees(
+    st.floats(min_value=0.0, allow_infinity=False).map(Num),
+    lambda children: st.builds(Bin, st.sampled_from("+-*/^"), children,
+                               children),
+    max_leaves=12)
+
+
+def _signed_num(value):
+    return Num(value) if value >= 0.0 else Neg(Num(-value))
+
+
+# moderate literals and constant exponents, as in _random_expr below
+smooth_exprs = _trees(
+    st.floats(min_value=0.1, max_value=3.0).map(lambda v: Num(round(v, 3))),
+    lambda children: st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/"), children, children),
+        st.builds(lambda base, k: Bin("^", base, _signed_num(k)), children,
+                  st.sampled_from((2.0, 3.0, 0.5, -1.0, -2.0)))),
+    max_leaves=8)
 
 
 def ev(text, u):
@@ -127,15 +164,30 @@ def test_eval2_sqrt():
     assert d2 == pytest.approx(-1.0 / 32.0, rel=1e-14)
 
 
+# (text, u, where, reason): one row per kind of DomainError; where is the
+# innermost failing subexpression in canonical form
+DOMAIN_ERRORS = (
+    ("1+ln(u-1)", 0.5, "ln((u-1.0))", "log of non-positive value"),
+    ("ln(u)", 0.0, "ln(u)", "log of non-positive value"),
+    ("sqrt(u)", -1.0, "sqrt(u)", "sqrt of negative value"),
+    ("sqrt(u*u)", 0.0, "sqrt((u*u))", "derivative unbounded at sqrt(0)"),
+    ("1/u", 0.0, "(1.0/u)", "division by zero"),
+    ("u^0", 0.0, "(u^0.0)", "0^0"),
+    ("u^-1", 0.0, "(u^(-1.0))", "zero base with negative exponent"),
+    ("u^0.5", 0.0, "(u^0.5)", "derivative unbounded at zero base"),
+    ("u^0.5", -2.0, "(u^0.5)", "negative base with non-integer exponent"),
+    ("u^u", -1.0, "(u^u)", "variable exponent needs positive base"),
+    ("exp(u)", 1000.0, "exp(u)", "overflow"),
+    ("u*1e308*10", 1.0, "((u*1e+308)*10.0)", "non-finite result"),
+)
+
+
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        ev("ln(u)", 0.0)
-    with pytest.raises(DomainError):
-        ev("sqrt(u)", -1.0)
-    with pytest.raises(DomainError):
-        ev("1/u", 0.0)
-    with pytest.raises(DomainError):
-        ev("u^0.5", -2.0)
+    for text, u, where, reason in DOMAIN_ERRORS:
+        with pytest.raises(DomainError) as err:
+            ev(text, u)
+        assert (err.value.u, err.value.where, str(err.value)) == (
+            u, where, f"undefined at u={u!r} in {where} ({reason})"), text
 
 
 def test_abs_kink():
@@ -188,6 +240,12 @@ def test_print_parse_round_trip():
         e = _random_expr(rng, 4)
         text = format_expr(e)
         assert parse(text) == e
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=exprs)
+def test_print_parse_round_trip_property(e):
+    assert parse(format_expr(e)) == e
 
 
 def test_eval_total_or_domain_error():
@@ -259,3 +317,21 @@ def test_finite_difference_agreement():
             continue
         _fd_check(e, u)
         checked += 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_fd_check's noise estimate is the change in the second difference "
+    "when the step halves; here both steps round to the same -0.29985, so "
+    "it reads 0 while the rounding error of the exact d2 = -0.3 is 1.5e-4, "
+    "above the 1e-4 bound"))
+@settings(max_examples=300, deadline=None)
+@given(e=smooth_exprs, u=st.floats(min_value=0.05, max_value=4.0))
+@example(e=parse("((-pi)+((-(u^3.0))+(-(pi^3.0))))"), u=0.05)
+def test_finite_difference_agreement_property(e, u):
+    step = 1e-5 * max(1.0, abs(u))
+    try:
+        for uu in (u, u + step, u - step, u + step / 2, u - step / 2):
+            eval2(e, uu)
+    except DomainError:
+        assume(False)
+    _fd_check(e, u)

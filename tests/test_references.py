@@ -1,12 +1,23 @@
-"""Profile lookups checked against a plain reference implementation.
+"""Library paths checked against plain reference implementations.
 
 Profile lookups bisect segment ends and arc abscissae; the reference
-scans the segments and samples linearly.
+scans the segments and samples linearly.  eval2 formats a subexpression
+only when it raises DomainError; the reference formats every Bin and
+Call node eagerly, as eval2 once did.
 """
 
+import math
+
+from hypothesis import given, settings, strategies as st
+
+import minres.exprlang as exprlang
 from minres import solve
 from minres.body import Linear, ParamArc
-from test_acceptance import _spec_for
+from minres.errors import DomainError, InvalidParameter, UnknownIdentifier
+from minres.exprlang import (_CONSTANTS, Bin, Call, Const, Dual2, Neg, Num,
+                             Var, _chain, eval2, format_expr, parse)
+from test_acceptance import PAIR_MINUS, PAIR_PLUS, _spec_for
+from test_exprlang import exprs
 
 
 def _rise(seg):
@@ -108,3 +119,140 @@ def test_lookups_match_scan_on_two_arc_split():
         assert [type(s) for s in profile.segments] == [Linear, ParamArc]
         assert profile.segments[0].slope == 0.0
         _assert_lookups_match(profile)
+
+
+def _ref_pow_const(a, c, u, where):
+    v = a.value
+    if v > 0.0:
+        f = v ** c
+        return _chain(a, f, c * f / v, c * (c - 1.0) * f / (v * v))
+    if v == 0.0:
+        if c == 0.0:
+            raise DomainError(u, where, "0^0")
+        if c < 0.0:
+            raise DomainError(u, where, "zero base with negative exponent")
+        if c == 1.0:
+            return a
+        if c < 2.0:
+            raise DomainError(u, where, "derivative unbounded at zero base")
+        d2 = 2.0 * a.d1 * a.d1 if c == 2.0 else 0.0
+        return Dual2(0.0, 0.0, d2)
+    if c != round(c):
+        raise DomainError(u, where, "negative base with non-integer exponent")
+    k = int(round(c))
+    f = v ** k
+    df = k * v ** (k - 1)
+    d2f = k * (k - 1) * v ** (k - 2) if k != 0 else 0.0
+    return _chain(a, f, df, d2f)
+
+
+def _ref_eval_node(e, seed, u):
+    if isinstance(e, Num):
+        return Dual2(e.value, 0.0, 0.0)
+    if isinstance(e, Const):
+        return Dual2(_CONSTANTS[e.name], 0.0, 0.0)
+    if isinstance(e, Var):
+        return seed
+    if isinstance(e, Neg):
+        return -_ref_eval_node(e.arg, seed, u)
+    if isinstance(e, Bin):
+        a = _ref_eval_node(e.left, seed, u)
+        b = _ref_eval_node(e.right, seed, u)
+        where = format_expr(e)
+        try:
+            if e.op == "+":
+                return a + b
+            if e.op == "-":
+                return a - b
+            if e.op == "*":
+                return a * b
+            if e.op == "/":
+                if b.value == 0.0:
+                    raise DomainError(u, where, "division by zero")
+                return a / b
+            if e.op == "^":
+                if b.d1 == 0.0 and b.d2 == 0.0:
+                    return _ref_pow_const(a, b.value, u, where)
+                if a.value <= 0.0:
+                    raise DomainError(u, where,
+                                      "variable exponent needs positive base")
+                ln_a = _chain(a, math.log(a.value), 1.0 / a.value,
+                              -1.0 / (a.value * a.value))
+                prod = b * ln_a
+                f = math.exp(prod.value)
+                return _chain(prod, f, f, f)
+        except OverflowError:
+            raise DomainError(u, where, "overflow") from None
+        raise InvalidParameter(f"unknown operator {e.op!r}")
+    if isinstance(e, Call):
+        a = _ref_eval_node(e.arg, seed, u)
+        where = format_expr(e)
+        v = a.value
+        try:
+            if e.fn == "ln":
+                if v <= 0.0:
+                    raise DomainError(u, where, "log of non-positive value")
+                return _chain(a, math.log(v), 1.0 / v, -1.0 / (v * v))
+            if e.fn == "exp":
+                f = math.exp(v)
+                return _chain(a, f, f, f)
+            if e.fn == "sqrt":
+                if v < 0.0:
+                    raise DomainError(u, where, "sqrt of negative value")
+                if v == 0.0:
+                    if a.d1 == 0.0 and a.d2 == 0.0:
+                        return Dual2(0.0, 0.0, 0.0)
+                    raise DomainError(u, where,
+                                      "derivative unbounded at sqrt(0)")
+                r = math.sqrt(v)
+                return _chain(a, r, 0.5 / r, -0.25 / (v * r))
+            if e.fn == "abs":
+                s = 0.0 if v == 0.0 else math.copysign(1.0, v)
+                return _chain(a, abs(v), s, 0.0)
+        except OverflowError:
+            raise DomainError(u, where, "overflow") from None
+        raise UnknownIdentifier(e.fn, 0)
+    raise InvalidParameter(f"not an expression node: {e!r}")
+
+
+def ref_eval2(e, u):
+    u = float(u)
+    if not math.isfinite(u):
+        raise InvalidParameter(f"u must be finite, got {u!r}")
+    out = _ref_eval_node(e, Dual2(u, 1.0, 0.0), u)
+    if not (math.isfinite(out.value) and math.isfinite(out.d1)
+            and math.isfinite(out.d2)):
+        raise DomainError(u, format_expr(e), "non-finite result")
+    return out
+
+
+def _outcome(evaluate, e, u):
+    """The exact bits of the dual value, or the error raised."""
+    try:
+        d = evaluate(e, u)
+    except DomainError as err:
+        return "DomainError", err.u, err.where, str(err)
+    except ArithmeticError as err:
+        return type(err).__name__, str(err)
+    return tuple(float.hex(x) for x in (d.value, d.d1, d.d2))
+
+
+slopes = st.one_of(st.sampled_from((0.0, -1.0, -2.0, 1.0)),
+                   st.floats(min_value=-1e3, max_value=1e3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(e=exprs, u=slopes)
+def test_eval2_matches_eager_reference(e, u):
+    assert _outcome(eval2, e, u) == _outcome(ref_eval2, e, u)
+
+
+def test_eval2_does_not_format_on_success(monkeypatch):
+    def refuse(e):
+        raise AssertionError(f"format_expr({e!r}) on the evaluation path")
+
+    cases = [(parse(text), u) for text in (PAIR_PLUS, PAIR_MINUS)
+             for u in (0.0, 1e-8, 0.5, 1.0, 3.0, 1e6)]
+    expected = [ref_eval2(e, u) for e, u in cases]
+    monkeypatch.setattr(exprlang, "format_expr", refuse)
+    assert [eval2(e, u) for e, u in cases] == expected
