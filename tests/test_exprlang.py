@@ -7,16 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from minres.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from minres.exprlang import (Bin, Call, Const, Dual2, Neg, Num, Var, eval2,
-                             format_expr, parse)
-
-_FUNCTIONS = ("ln", "exp", "sqrt", "abs")
-_CONSTANTS = st.sampled_from((Const("pi"), Const("e")))
+from minres.exprlang import (_FUNCTIONS, Bin, Call, Const, Dual2, Neg, Num,
+                             Var, eval2, format_expr, parse)
 
 
 def _trees(numbers, binary, max_leaves):
     """ASTs over the given literals; binary(children) builds Bin nodes."""
-    leaves = st.one_of(numbers, st.just(Var()), _CONSTANTS)
+    leaves = st.one_of(numbers, st.just(Var()),
+                       st.sampled_from((Const("pi"), Const("e"))))
     return st.recursive(leaves, lambda children: st.one_of(
         st.builds(Neg, children),
         binary(children),

@@ -232,7 +232,7 @@ def _outcome(evaluate, e, u):
         d = evaluate(e, u)
     except DomainError as err:
         return "DomainError", err.u, err.where, str(err)
-    except ArithmeticError as err:
+    except ArithmeticError as err:  # e.g. 1/(v*v) once v*v underflows
         return type(err).__name__, str(err)
     return tuple(float.hex(x) for x in (d.value, d.d1, d.d2))
 
