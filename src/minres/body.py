@@ -224,6 +224,25 @@ def flat_profile(T: float) -> Profile:
 
 @dataclass(frozen=True)
 class BodySolution:
+    """A solved body: both profiles, their heights and multipliers.
+
+    beta_plus + beta_minus == H exactly.  For d >= 3 the heights the
+    profiles reach, front.beta and rear.beta, are the ends of their
+    sampled arcs.  The rear's is beta_minus, up to the one-ulp move of
+    split_height.  The front's differs from beta_plus by what the root
+    solves leave over.  U_plus solves b_plus(U) = H/T - b_minus(U_minus) to
+    the bracket width delta = 1e-12 + 4 eps U_plus, and g enters each
+    branch height as |p'(U)|^omega g(U) with g computed to 1e-11.  So,
+    with omega = 1/(d-2), b' = omega |p'|^(omega-1) p'' g and
+    eps = 2^-52:
+
+        |front.beta - beta_plus| <= T (b_plus'(U_plus) delta
+            + 1e-11 (|p_plus'(U_plus)|^omega + |p_minus'(U_minus)|^omega))
+            + 2 eps H,
+
+    where the p_minus term is dropped when the rear is flat.
+    """
+
     spec: ProblemSpec
     case_label: str
     front: Profile

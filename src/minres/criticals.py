@@ -31,15 +31,19 @@ class CriticalValues:
     B: float
 
 
-def _scan_peaks(f):
-    """Geometric scan of f on (0, 1e6]; returns (grid, values, peaks)."""
+def _scan_peaks(model: PressureModel, p0: float):
+    """Drop rate (p0 - p(u))/u on a doubling grid over (0, 1e6].
+
+    Returns (grid, values, peaks).
+    """
     us = []
     u = 1e-6
     while u <= 1e6:
         us.append(u)
         u *= 2.0
     us.append(1e6)
-    vals = [f(v) for v in us]
+    grid = np.array(us)
+    vals = ((p0 - model.eval_many(grid)[0]) / grid).tolist()
     peaks = [i for i in range(1, len(us) - 1)
              if vals[i - 1] < vals[i] >= vals[i + 1]]
     return us, vals, peaks
@@ -54,7 +58,7 @@ def critical_values(model: PressureModel) -> CriticalValues:
     def drop_rate(u: float) -> float:
         return (p0 - model.p(u)) / u
 
-    us, vals, peaks = _scan_peaks(drop_rate)
+    us, vals, peaks = _scan_peaks(model, p0)
     if not peaks:
         # maximum at the scan edge: law keeps improving toward 0 or 1e6
         raise NotUnimodal("no interior maximum of the drop rate",
@@ -96,7 +100,7 @@ def critical_values(model: PressureModel) -> CriticalValues:
 
     # u_bar: the curvature sign change below u0
     grid = np.geomspace(max(1e-9, u0 * 1e-6), u0, 128)
-    d2 = np.array([model.d2p(float(v)) for v in grid])
+    d2 = model.eval_many(grid)[2]
     neg = np.flatnonzero(d2 < 0.0)
     pos = np.flatnonzero(d2 > 0.0)
     if not (neg.size and pos.size and neg[0] < pos[-1]):
@@ -160,13 +164,23 @@ def pair_criticals(p_plus: PressureModel, p_minus: PressureModel,
             f"front drop rate {plus.B} must exceed rear drop rate {minus.B}")
     if not p_minus.is_zero:
         # strictness holds only away from 0 (both derivatives vanish there)
-        for u in np.geomspace(1e-6, 1e4, 128):
-            u = float(u)
-            dpp, dpm = p_plus.dp(u), p_minus.dp(u)
-            if dpp >= dpm - 1e-14 * max(1.0, abs(dpp), abs(dpm)):
-                raise AssumptionViolated(
-                    f"p_plus'({u:g})={dpp:g} not below p_minus'({u:g})={dpm:g}",
-                    witness=u)
+        us = np.geomspace(1e-6, 1e4, 128)
+        _, dpp, _, err_plus = p_plus.eval_prefix(us)
+        # the rear law is evaluated where the front law was, so the
+        # earliest failing slope wins, whichever law or check it hits
+        _, dpm, _, err_minus = p_minus.eval_prefix(us[:dpp.size])
+        dpp = dpp[:dpm.size]
+        tol = 1e-14 * np.maximum(np.maximum(1.0, np.abs(dpp)), np.abs(dpm))
+        fails = np.flatnonzero(dpp >= dpm - tol)
+        if fails.size:
+            i = fails[0]
+            u = float(us[i])
+            raise AssumptionViolated(
+                f"p_plus'({u:g})={dpp[i]:g} not below "
+                f"p_minus'({u:g})={dpm[i]:g}", witness=u)
+        for err in (err_minus, err_plus):
+            if err is not None:
+                raise err
 
     if minus.B == 0.0:
         u_star: float = math.inf

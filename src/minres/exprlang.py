@@ -12,7 +12,9 @@ tighter than unary minus, so -u^2 means -(u^2)):
 
 eval2 returns the value together with the first and second derivative
 with respect to u, propagated through a second-order dual number.
-Parsing is total: any input yields an AST or a positioned error.
+eval_prefix does the same for a whole grid of u in one walk of the
+tree, bit for bit as eval2 would at each point.  Parsing is total: any input
+yields an AST or a positioned error.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, InvalidParameter, UnknownIdentifier
 
@@ -204,7 +208,11 @@ def parse(text: str) -> Expr:
 
 @dataclass(frozen=True)
 class Dual2:
-    """Value with first and second derivative; immutable and shareable."""
+    """Value with first and second derivative; immutable and shareable.
+
+    The fields may also be equal-length numpy arrays, one entry per
+    point: every operator below then works elementwise.
+    """
 
     value: float
     d1: float
@@ -306,7 +314,9 @@ def _eval_node(e: Expr, seed: Dual2, u: float) -> Dual2:
                 prod = b * ln_a
                 f = math.exp(prod.value)
                 return _chain(prod, f, f, f)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
+            # a derivative denominator such as v*v underflowing to 0
+            # means that derivative overflows
             raise _domain_error(u, e, "overflow") from None
         raise InvalidParameter(f"unknown operator {e.op!r}")
     if isinstance(e, Call):
@@ -334,7 +344,7 @@ def _eval_node(e: Expr, seed: Dual2, u: float) -> Dual2:
                 s = 0.0 if v == 0.0 else math.copysign(1.0, v)
                 # derivative at the kink is defined as 0
                 return _chain(a, abs(v), s, 0.0)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise _domain_error(u, e, "overflow") from None
         raise UnknownIdentifier(e.fn, 0)
     raise InvalidParameter(f"not an expression node: {e!r}")
@@ -350,3 +360,119 @@ def eval2(e: Expr, u: float) -> Dual2:
             and math.isfinite(out.d2)):
         raise _domain_error(u, e, "non-finite result")
     return out
+
+
+def _each(fn, bad, *columns):
+    """fn at every point, called on Python floats.
+
+    numpy's log, exp and power differ from libm in the last bit on some
+    inputs, so these stay scalar calls.  A point where fn raises is
+    flagged in bad and reads nan.
+    """
+    cols = [c.tolist() for c in columns]
+    try:
+        return np.array(list(map(fn, *cols)), dtype=float)
+    except (ArithmeticError, ValueError):
+        pass
+    out = []
+    for i, args in enumerate(zip(*cols)):
+        try:
+            out.append(fn(*args))
+        except (ArithmeticError, ValueError):
+            bad[i] = True
+            out.append(math.nan)
+    return np.array(out, dtype=float)
+
+
+def _pow_many(a: Dual2, b: Dual2, bad) -> Dual2:
+    v = a.value
+    const = (b.d1 == 0.0) & (b.d2 == 0.0)
+    if not const.all():
+        # exp(b ln a); points where the exponent is constant go to eval2
+        bad |= const | (v <= 0.0) | (v * v == 0.0)
+        ln_a = _chain(a, _each(math.log, bad, v), 1.0 / v, -1.0 / (v * v))
+        prod = b * ln_a
+        f = _each(math.exp, bad, prod.value)
+        return _chain(prod, f, f, f)
+    # zero and negative bases take eval2's special cases
+    c = b.value
+    bad |= (v <= 0.0) | (v * v == 0.0)
+    f = _each(pow, bad, np.where(v > 0.0, v, 1.0), c)
+    return _chain(a, f, c * f / v, c * (c - 1.0) * f / (v * v))
+
+
+def _walk_many(e: Expr, seed: Dual2, bad) -> Dual2:
+    """_eval_node on a whole grid, with Dual2 arrays as values.
+
+    Sets bad at every point where eval2 raises or might raise, and
+    wherever an operation here could round differently from it.
+    """
+    n = bad.size
+    if isinstance(e, Var):
+        return seed
+    if isinstance(e, (Num, Const)):
+        value = e.value if isinstance(e, Num) else _CONSTANTS[e.name]
+        return Dual2(np.full(n, value), np.zeros(n), np.zeros(n))
+    if isinstance(e, Neg):
+        return -_walk_many(e.arg, seed, bad)
+    if isinstance(e, Bin) and e.op in ("+", "-", "*", "/", "^"):
+        a = _walk_many(e.left, seed, bad)
+        b = _walk_many(e.right, seed, bad)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            bad |= b.value == 0.0
+            return a / b
+        return _pow_many(a, b, bad)
+    if isinstance(e, Call) and e.fn in _FUNCTIONS:
+        a = _walk_many(e.arg, seed, bad)
+        v = a.value
+        if e.fn == "ln":
+            bad |= (v <= 0.0) | (v * v == 0.0)
+            return _chain(a, _each(math.log, bad, v), 1.0 / v, -1.0 / (v * v))
+        if e.fn == "exp":
+            f = _each(math.exp, bad, v)
+            return _chain(a, f, f, f)
+        if e.fn == "sqrt":
+            # np.sqrt is correctly rounded, like math.sqrt; sqrt(0)
+            # goes to eval2
+            r = np.sqrt(v)
+            bad |= (v < 0.0) | (v * r == 0.0)
+            return _chain(a, r, 0.5 / r, -0.25 / (v * r))
+        s = np.where(v == 0.0, 0.0, np.copysign(1.0, v))
+        return _chain(a, np.abs(v), s, 0.0)
+    # anything else: eval2 raises at each point what it raises there
+    bad[:] = True
+    nan = np.full(n, math.nan)
+    return Dual2(nan, nan, nan)
+
+
+def eval_prefix(e: Expr, us) -> tuple[Dual2, DomainError | None]:
+    """eval2 at every u of a 1-D grid, in one walk of the tree.
+
+    Returns Dual2 arrays over the longest prefix of us at which eval2
+    returns, and the DomainError that eval2 raises at the next point
+    (None when every point evaluates); other errors propagate from
+    the first point that raises them.  Every value is bit-identical to
+    eval2's: the points where the walk meets a domain condition, a
+    failing scalar call or a non-finite value are evaluated by eval2.
+    """
+    us = np.array(us, dtype=float)
+    bad = ~np.isfinite(us)
+    with np.errstate(all="ignore"):
+        out = _walk_many(e, Dual2(us, np.ones(us.size), np.zeros(us.size)),
+                         bad)
+    value, d1, d2 = (np.array(x, dtype=float)
+                     for x in (out.value, out.d1, out.d2))
+    bad |= ~(np.isfinite(value) & np.isfinite(d1) & np.isfinite(d2))
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            d = eval2(e, us[i])
+        except DomainError as err:
+            return Dual2(value[:i], d1[:i], d2[:i]), err
+        value[i], d1[i], d2[i] = d.value, d.d1, d.d2
+    return Dual2(value, d1, d2), None

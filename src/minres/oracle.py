@@ -67,7 +67,7 @@ def check_maximality(spec: ProblemSpec, branch: str, profile: Profile,
 
     u_grid = np.concatenate(([0.0], np.geomspace(u_max * 1e-6, u_max,
                                                  n_u - 1)))
-    p_vals = np.array([model.p(float(u)) for u in u_grid])
+    p_vals = model.eval_many(u_grid)[0]
     t_grid = T * (np.arange(1, n_t + 1) / n_t)
 
     worst = -math.inf
@@ -166,7 +166,7 @@ def brute_force(spec: ProblemSpec, branch: str, beta: float,
             f"slope cap {u_cap} cannot reach beta={beta} on this grid")
 
     steps = np.arange(m_max + 1)
-    p_step = np.array([model.p(float(m * dx / dt)) for m in steps])
+    p_step = model.eval_many(steps * dx / dt)[0]
 
     K = n_heights + 1
     idx = np.subtract.outer(np.arange(K), np.arange(K))  # k' - k
@@ -211,7 +211,9 @@ def _arc_quadrature(model: PressureModel, arc: ParamArc, d: int,
     if len(pts) < 3:
         raise QuadratureFailure("arc needs at least 3 samples")
     ts = np.array([p[0] for p in pts])
-    fs = np.array([model.p(p[2]) * (d - 1) * p[0] ** (d - 2) for p in pts])
+    ps = model.eval_many([p[2] for p in pts])[0]
+    # Python's ** on each t: numpy's power rounds some t differently
+    fs = ps * (d - 1) * np.array([p[0] ** (d - 2) for p in pts])
     total = 0.0
     i = 0
     n = len(pts) - 1  # intervals

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang
-from .errors import InvalidParameter
+from .errors import DomainError, InvalidParameter
 from .exprlang import Expr
 from .numerics import bracket_root
 
@@ -68,6 +68,42 @@ class PressureModel:
             d = exprlang.eval2(self.expr, u)
             return d.value, d.d1, d.d2
         return self.p(u), self.dp(u), self.d2p(u)
+
+    def eval_prefix(self, us) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                       DomainError | None]:
+        """(p, p', p'') over the longest prefix of the slope grid us that
+        evaluates, and the DomainError raised at the next slope (None
+        when all of us does).
+
+        One pass for the whole grid, bit-identical to eval at each
+        slope.  A caller that checks each slope as it goes checks the
+        prefix and then raises the error, so the earliest failure in
+        grid order wins, as in a loop of eval calls.
+        """
+        us = np.asarray(us, dtype=float)
+        if self.kind == "expr":
+            d, err = exprlang.eval_prefix(self.expr, us)
+            return d.value, d.d1, d.d2, err
+        if self.kind == "zero":
+            return (np.zeros(us.size), np.zeros(us.size), np.zeros(us.size),
+                    None)
+        # the operation order of p, dp and d2p; huge slopes overflow to
+        # inf and 0 as in scalar float arithmetic, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = 1.0 + us * us
+            return (self.scale / s + self.offset,
+                    -2.0 * self.scale * us / (s * s),
+                    self.scale * (6.0 * us * us - 2.0) / (s * s * s), None)
+
+    def eval_many(self, us) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p, p', p'') at every slope of the grid us in one pass.
+
+        Raises the DomainError of the first slope that fails.
+        """
+        p, dp, d2p, err = self.eval_prefix(us)
+        if err is not None:
+            raise err
+        return p, dp, d2p
 
     def describe(self) -> str:
         """Canonical one-line source form, echoed in reports."""
@@ -120,11 +156,7 @@ def validate(model: PressureModel) -> ValidationReport:
     p0, dp0, _ = model.eval(0.0)
     scale = max(1.0, abs(p0))
 
-    vals = np.empty(n_samples)
-    d1s = np.empty(n_samples)
-    d2s = np.empty(n_samples)
-    for i, u in enumerate(grid):
-        vals[i], d1s[i], d2s[i] = model.eval(float(u))
+    vals, d1s, d2s = model.eval_many(grid)
 
     bad = np.flatnonzero(~(np.isfinite(vals) & np.isfinite(d1s)
                            & np.isfinite(d2s)))

@@ -164,13 +164,15 @@ def extremal_from_U(gt: GTable, U: float, T: float,
     us = np.concatenate(([cv.u0], cv.u0 + offsets))
     us[-1] = U
     gs = gt.g_many(us)
+    _, dps, _, err = gt.model.eval_prefix(us[1:])
     pts = [(float(cv.u0), t0, 0.0)]
-    for u, g in zip(us[1:], gs[1:]):
-        u = float(u)
-        ap = abs(gt.model.dp(u)) ** omega
+    for u, g, dp in zip(us[1:].tolist(), gs[1:].tolist(), dps.tolist()):
+        ap = abs(dp) ** omega
         t = lam_om / ap
-        x = lam_om * (u / ap - float(g))
+        x = lam_om * (u / ap - g)
         pts.append((u, t, x))
+    if err is not None:
+        raise err
     # the last sample is t(U) = T up to rounding; snap so segments tile
     u_last, _, x_last = pts[-1]
     pts[-1] = (u_last, T, x_last)
@@ -214,11 +216,15 @@ def _profile_from_extremal(ex: SpatialExtremal) -> Profile:
 
 def _check_front_curvature(gt: GTable, u_hi: float) -> None:
     """The front solver needs p'' > 0 on the slopes it actually uses."""
-    for u in np.linspace(gt.cv.u0, u_hi, 32):
-        if gt.model.d2p(float(u)) <= 0.0:
-            raise AssumptionViolated(
-                f"front law curvature not positive at u={float(u):g}",
-                witness=float(u))
+    us = np.linspace(gt.cv.u0, u_hi, 32)
+    _, _, d2, err = gt.model.eval_prefix(us)
+    fails = np.flatnonzero(d2 <= 0.0)
+    if fails.size:
+        u = float(us[fails[0]])
+        raise AssumptionViolated(
+            f"front law curvature not positive at u={u:g}", witness=u)
+    if err is not None:
+        raise err
 
 
 def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:

@@ -250,6 +250,19 @@ def test_error_line_carries_domain_witness(capsys):
     assert payload["where"] == "ln(u)"
 
 
+def test_error_line_on_derivative_underflow(capsys):
+    """ln's 1/(v*v) underflows at v = 1e-200: DomainError, not a traceback."""
+    rc = run(["solve", "--dim", "2", "--T", "1", "--H", "1",
+              "--p-plus", "1/(1+u^2)+ln(u+1e-200)", "--p-minus", "zero"])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "DomainError"
+    assert payload["u"] == 0.0
+    assert payload["where"] == "ln((u+1e-200))"
+
+
 def test_classify_line_format(capsys):
     rc = run(["classify", "--dim", "2", "--T", "2", "--H", "6"] + PAIR)
     assert rc == 0

@@ -247,20 +247,24 @@ def test_print_parse_round_trip_property(e):
 
 
 def test_eval_total_or_domain_error():
-    """Evaluation either returns finite floats or raises DomainError."""
+    """Evaluation either returns finite floats or raises DomainError.
+
+    Tiny and huge u make derivative denominators such as v*v underflow
+    to 0 or powers overflow.
+    """
     rng = random.Random(7)
     hits = 0
     for _ in range(500):
         e = _random_expr(rng, 4)
-        u = rng.uniform(0.01, 5.0)
-        try:
-            d = eval2(e, u)
-        except DomainError:
-            continue
-        hits += 1
-        assert math.isfinite(d.value)
-        assert math.isfinite(d.d1)
-        assert math.isfinite(d.d2)
+        for u in (rng.uniform(0.01, 5.0), 1e-300, 1e-200, 1e200, 1e300):
+            try:
+                d = eval2(e, u)
+            except DomainError:
+                continue
+            hits += 1
+            assert math.isfinite(d.value)
+            assert math.isfinite(d.d1)
+            assert math.isfinite(d.d2)
     assert hits > 200
 
 

@@ -6,7 +6,9 @@ acceptance matrix:
 
 * scaling: R(kT, kH) = k^(d-1) R(T, H), to criterion 7's 1e-8;
 * R_total is nonincreasing in H (at fixed T);
-* the solved front passes the sampled maximality check.
+* the solved front passes the sampled maximality check;
+* in d = 3, 4, also under a newton:k*s,o2 rear with k < 1, the front
+  profile's height stays within BodySolution's bound of beta_plus.
 
 The offset stays nonnegative, so p > 0 and R_total is bounded away from
 zero, which keeps the relative scaling error meaningful.
@@ -17,7 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from minres import check_maximality, solve
 from minres.body import ProblemSpec
+from minres.criticals import critical_values
 from minres.pressure import make_builtin, make_zero
+from minres.spatial import GTable
 
 dims = st.sampled_from((2, 3, 4))
 scales = st.floats(min_value=0.25, max_value=4.0)
@@ -62,3 +66,29 @@ def test_front_passes_maximality(d, s, o, T, h):
     assert sol.lambda_minus is None  # a zero rear carries no multiplier
     rep = check_maximality(sol.spec, "front", sol.front, sol.lambda_plus)
     assert rep.passed, rep
+
+
+_EPS = 2.220446049250313e-16
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from((3, 4)), s=scales, o=offsets, T=radii,
+       h=st.floats(min_value=0.05, max_value=3.0),
+       k=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=0.9)),
+       o2=offsets)
+def test_front_height_within_documented_bound(d, s, o, T, h, k, o2):
+    p_plus = make_builtin(s, o)
+    p_minus = make_zero() if k == 0.0 else make_builtin(k * s, o2)
+    sol = solve(ProblemSpec(d=d, T=T, H=h * T, p_plus=p_plus,
+                            p_minus=p_minus))
+    gt = GTable(p_plus, critical_values(p_plus), d)
+    U, omega = sol.U_plus, gt.omega
+    ap = abs(p_plus.dp(U))
+    b_prime = omega * ap ** (omega - 1.0) * p_plus.d2p(U) * gt.g(U)
+    delta = 1e-12 + 4.0 * _EPS * U
+    g_terms = ap ** omega
+    if sol.U_minus is not None:
+        g_terms += abs(p_minus.dp(sol.U_minus)) ** omega
+    bound = T * (b_prime * delta + 1e-11 * g_terms) + 2.0 * _EPS * sol.spec.H
+    assert abs(sol.front.beta - sol.beta_plus) <= bound
+    assert abs(sol.rear.beta - sol.beta_minus) <= _EPS * sol.spec.H

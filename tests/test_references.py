@@ -3,19 +3,27 @@
 Profile lookups bisect segment ends and arc abscissae; the reference
 scans the segments and samples linearly.  eval2 formats a subexpression
 only when it raises DomainError; the reference formats every Bin and
-Call node eagerly, as eval2 once did.
+Call node eagerly, as eval2 once did.  Grid evaluation walks the tree
+once for all points; the reference is a loop of scalar evaluations.
+The critical slopes are checked against 50-digit mpmath roots.
 """
 
 import math
 
+import mpmath
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import minres.exprlang as exprlang
 from minres import solve
 from minres.body import Linear, ParamArc
-from minres.errors import DomainError, InvalidParameter, UnknownIdentifier
+from minres.criticals import critical_values, pair_criticals
+from minres.errors import (DomainError, InvalidParameter, MinresError,
+                           UnknownIdentifier)
 from minres.exprlang import (_CONSTANTS, Bin, Call, Const, Dual2, Neg, Num,
                              Var, _chain, eval2, format_expr, parse)
+from minres.pressure import make_builtin, make_expr, make_zero
 from test_acceptance import PAIR_MINUS, PAIR_PLUS, _spec_for
 from test_exprlang import exprs
 
@@ -181,7 +189,7 @@ def _ref_eval_node(e, seed, u):
                 prod = b * ln_a
                 f = math.exp(prod.value)
                 return _chain(prod, f, f, f)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise DomainError(u, where, "overflow") from None
         raise InvalidParameter(f"unknown operator {e.op!r}")
     if isinstance(e, Call):
@@ -209,7 +217,7 @@ def _ref_eval_node(e, seed, u):
             if e.fn == "abs":
                 s = 0.0 if v == 0.0 else math.copysign(1.0, v)
                 return _chain(a, abs(v), s, 0.0)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise DomainError(u, where, "overflow") from None
         raise UnknownIdentifier(e.fn, 0)
     raise InvalidParameter(f"not an expression node: {e!r}")
@@ -232,7 +240,7 @@ def _outcome(evaluate, e, u):
         d = evaluate(e, u)
     except DomainError as err:
         return "DomainError", err.u, err.where, str(err)
-    except ArithmeticError as err:  # e.g. 1/(v*v) once v*v underflows
+    except ArithmeticError as err:  # any that eval2 lets escape
         return type(err).__name__, str(err)
     return tuple(float.hex(x) for x in (d.value, d.d1, d.d2))
 
@@ -256,3 +264,144 @@ def test_eval2_does_not_format_on_success(monkeypatch):
     expected = [ref_eval2(e, u) for e, u in cases]
     monkeypatch.setattr(exprlang, "format_expr", refuse)
     assert [eval2(e, u) for e, u in cases] == expected
+
+
+def _bits(*values):
+    return tuple(float.hex(float(v)) for v in values)
+
+
+def _error(err):
+    if isinstance(err, DomainError):
+        return "DomainError", err.u, err.where, str(err)
+    return type(err).__name__, str(err)
+
+
+def _pointwise(evaluate, us):
+    """Bits at each point up to the first error, and that error."""
+    rows = []
+    for u in us:
+        try:
+            rows.append(_bits(*evaluate(float(u))))
+        except (MinresError, ArithmeticError, ValueError) as err:
+            return rows, _error(err)
+    return rows, None
+
+
+def _assert_grid_matches_pointwise(model, evaluate, us):
+    rows, first_error = _pointwise(evaluate, us)
+    try:
+        p, dp, d2p = model.eval_many(us)
+    except (MinresError, ArithmeticError, ValueError) as err:
+        assert _error(err) == first_error
+    else:
+        assert first_error is None
+        assert [_bits(*r) for r in zip(p, dp, d2p)] == rows
+    if first_error is not None and first_error[0] == "DomainError":
+        p, dp, d2p, err = model.eval_prefix(us)
+        assert [_bits(*r) for r in zip(p, dp, d2p)] == rows
+        assert _error(err) == first_error
+
+
+grid_points = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, -2.0, 1e-300, -1e-300, 1e-200,
+                     1e300, -1e300)),
+    st.floats(min_value=-1e3, max_value=1e3))
+grids = st.lists(grid_points, min_size=1, max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(e=exprs, us=grids)
+def test_eval_many_matches_eval2_at_each_point(e, us):
+    def evaluate(u):
+        d = eval2(e, u)
+        return d.value, d.d1, d.d2
+
+    _assert_grid_matches_pointwise(make_expr(e), evaluate, us)
+
+
+@pytest.mark.parametrize("text", ["u^2.5+u^-1.5+u^2", "exp(-u)*ln(1+u)",
+                                  "(1+u)^u", "sqrt(u)*u^3.0"])
+def test_eval_many_matches_eval2_on_a_dense_grid(text):
+    """numpy's power, exp and log round differently from libm at some of
+    these points, so the grid must call the scalar functions."""
+    e = parse(text)
+
+    def evaluate(u):
+        d = eval2(e, u)
+        return d.value, d.d1, d.d2
+
+    _assert_grid_matches_pointwise(make_expr(e), evaluate,
+                                   np.geomspace(1e-3, 1e2, 2000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(min_value=1e-3, max_value=1e3),
+       o=st.floats(min_value=-1e3, max_value=1e3), us=grids)
+def test_eval_many_matches_builtin_and_zero_laws(s, o, us):
+    for model in (make_builtin(s, o), make_zero()):
+        _assert_grid_matches_pointwise(
+            model, lambda u: (model.p(u), model.dp(u), model.d2p(u)), us)
+
+
+def _blocked_at(law, u):
+    """law, plus 0*(1/(u-c)): the same values, DomainError exactly at c."""
+    return make_expr(f"{law}+0*(1/(u-{u!r}))")
+
+
+@pytest.mark.parametrize("plus_at, minus_at", [(100, 50), (50, 100)])
+def test_pair_criticals_raises_the_earliest_grid_failure(plus_at, minus_at):
+    """The assumption scan evaluates both laws on one grid; the law that
+    fails at the smaller slope decides the error, as in a pointwise loop."""
+    grid = np.geomspace(1e-6, 1e4, 128)
+    p_plus = _blocked_at(PAIR_PLUS, float(grid[plus_at]))
+    p_minus = _blocked_at(PAIR_MINUS, float(grid[minus_at]))
+    first = p_plus if plus_at < minus_at else p_minus
+    u = float(grid[min(plus_at, minus_at)])
+    with pytest.raises(DomainError) as expected:
+        first.dp(u)
+    with pytest.raises(DomainError) as got:
+        pair_criticals(p_plus, p_minus, 2)
+    assert _error(got.value) == _error(expected.value)
+
+
+# the three laws of the acceptance matrix, as mpmath functions of u
+_MP_LAWS = {
+    "newton:1,0": lambda u: 1 / (1 + u ** 2),
+    PAIR_PLUS: lambda u: 1 / (1 + u ** 2) + mpmath.mpf("0.5"),
+    PAIR_MINUS: lambda u: mpmath.mpf("0.5") / (1 + u ** 2) - mpmath.mpf("0.5"),
+}
+
+
+def _model(law):
+    return make_builtin(1.0, 0.0) if law == "newton:1,0" else make_expr(law)
+
+
+def _mp_criticals(p):
+    """(u_bar, u0, B) of p from 50-digit roots and derivatives."""
+    d1 = lambda u: mpmath.diff(p, u)
+    u_bar = mpmath.findroot(lambda u: mpmath.diff(p, u, 2), 0.5)
+    u0 = mpmath.findroot(lambda u: p(0) - p(u) + u * d1(u), 1.2)
+    return u_bar, u0, (p(0) - p(u0)) / u0
+
+
+def test_criticals_match_mpmath_references():
+    """Criticals and u_star within the 1e-12 root tolerance of 50-digit
+    references; prints the achieved error of each."""
+    with mpmath.workdps(50):
+        refs = {law: _mp_criticals(p) for law, p in _MP_LAWS.items()}
+        B_minus = refs[PAIR_MINUS][2]
+        u_star = mpmath.findroot(
+            lambda u: mpmath.diff(_MP_LAWS[PAIR_PLUS], u) + B_minus, 1.5)
+    worst = 0.0
+    for law, ref in refs.items():
+        cv = critical_values(_model(law))
+        for name, got, want in zip(("u_bar", "u0", "B"),
+                                   (cv.u_bar, cv.u0, cv.B), ref):
+            err = abs(got - float(want))
+            print(f"{law} {name}: error {err:.2e}")
+            worst = max(worst, err)
+    pc = pair_criticals(make_expr(PAIR_PLUS), make_expr(PAIR_MINUS), 2)
+    err = abs(pc.u_star - float(u_star))
+    print(f"pair u_star: error {err:.2e}")
+    worst = max(worst, err)
+    assert worst <= 1e-12
