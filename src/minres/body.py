@@ -10,9 +10,10 @@ surface carries, with beta_front + beta_rear = H.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InvalidParameter
 from .pressure import PressureModel
@@ -123,37 +124,53 @@ class Profile:
                 f"segment rises sum to {x}, expected beta={self.beta}")
         object.__setattr__(self, "_starts", tuple(starts))
 
-    def _locate(self, t: float) -> int:
-        if not (-_TILE_TOL <= t <= self.T * (1.0 + _TILE_TOL) + _TILE_TOL):
+    def sample(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, slope, unambiguous) at every t of the 1-D grid ts.
+
+        Slopes are right-continuous (at T: the final slope).
+        unambiguous is False at interior kinks, where the one-sided
+        slopes differ; there slope is the right-hand one.  Raises
+        InvalidParameter at the first t outside [0, T].
+        """
+        grid = np.asarray(ts, dtype=float)
+        inside = ((grid >= -_TILE_TOL)
+                  & (grid <= self.T * (1.0 + _TILE_TOL) + _TILE_TOL))
+        if not inside.all():
+            t = ts[int(np.argmin(inside))]
             raise InvalidParameter(f"t={t} outside [0, {self.T}]")
-        # bisect_right on segment ends gives right-continuity at kinks
-        ends = [seg.t_to for seg in self.segments]
-        i = bisect.bisect_right(ends, t)
-        return min(i, len(self.segments) - 1)
+        segs = self.segments
+        # searchsorted right on segment ends gives right-continuity at kinks
+        ends = np.array([seg.t_to for seg in segs])
+        idx = np.minimum(np.searchsorted(ends, grid, side="right"),
+                         len(segs) - 1)
+        t_from = np.array([seg.t_from for seg in segs])[idx]
+        u = np.array([seg.slope if isinstance(seg, Linear) else math.nan
+                      for seg in segs])[idx]
+        x = np.array(self._starts)[idx] + u * (grid - t_from)
+        for i, seg in enumerate(segs):
+            if isinstance(seg, ParamArc):
+                on = idx == i
+                if on.any():
+                    x[on], u[on] = _arc_interp(seg, grid[on])
+        # a kink is a segment start whose one-sided slopes differ
+        kinks = np.array([False] + [
+            _kink(_segment_slope(prev, -1), _segment_slope(seg, 0))
+            for prev, seg in zip(segs, segs[1:])])
+        eps = _TILE_TOL * max(1.0, self.T)
+        unambiguous = ~(kinks[idx] & (np.abs(grid - t_from) <= eps))
+        return x, u, unambiguous
 
     def x_at(self, t: float) -> float:
-        i = self._locate(t)
-        seg = self.segments[i]
-        if isinstance(seg, Linear):
-            return self._starts[i] + seg.slope * (t - seg.t_from)
-        return _arc_interp(seg, t, 1)
+        return self.sample((t,))[0].item()
 
     def slope_at(self, t: float) -> float:
         """Right-continuous slope (at T: the final slope)."""
-        return _segment_slope(self.segments[self._locate(t)], t)
+        return self.sample((t,))[1].item()
 
     def slope_if_unambiguous(self, t: float) -> float | None:
         """As slope_at, but None at interior kinks (one-sided slopes differ)."""
-        i = self._locate(t)
-        seg = self.segments[i]
-        eps = _TILE_TOL * max(1.0, self.T)
-        if i > 0 and abs(t - seg.t_from) <= eps:
-            prev = self.segments[i - 1]
-            left = _segment_slope(prev, prev.t_to)
-            right = _segment_slope(seg, seg.t_from)
-            if abs(left - right) > 1e-9 * max(1.0, abs(left), abs(right)):
-                return None
-        return self.slope_at(t)
+        _, u, unambiguous = self.sample((t,))
+        return u.item() if unambiguous[0] else None
 
     def max_slope(self) -> float:
         worst = 0.0
@@ -183,26 +200,33 @@ def _segment_rise(seg: Segment) -> float:
     return seg.samples[-1][1] - seg.samples[0][1]
 
 
-def _segment_slope(seg: Segment, t: float) -> float:
+def _segment_slope(seg: Segment, k: int) -> float:
+    """Slope at the segment's first (k=0) or last (k=-1) abscissa."""
     if isinstance(seg, Linear):
         return seg.slope
-    return _arc_interp(seg, t, 2)
+    return seg.samples[k][2]
 
 
-def _arc_interp(arc: ParamArc, t: float, col: int) -> float:
-    pts = arc.samples
-    if t <= pts[0][0]:
-        return pts[0][col]
-    if t >= pts[-1][0]:
-        return pts[-1][col]
-    ts = [s[0] for s in pts]
-    j = bisect.bisect_right(ts, t)
-    t0, t1 = pts[j - 1][0], pts[j][0]
-    v0, v1 = pts[j - 1][col], pts[j][col]
-    if t1 == t0:
-        return v1
-    w = (t - t0) / (t1 - t0)
-    return v0 + w * (v1 - v0)
+def _kink(left: float, right: float) -> bool:
+    return abs(left - right) > 1e-9 * max(1.0, abs(left), abs(right))
+
+
+def _arc_interp(arc: ParamArc, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, u) on the arc at each t, linear between samples, clamped to
+    the end samples outside them."""
+    pts = np.array(arc.samples)
+    ts = pts[:, 0]
+    j = np.clip(np.searchsorted(ts, t, side="right"), 1, len(ts) - 1)
+    t0, t1 = ts[j - 1], ts[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (t - t0) / (t1 - t0)
+    out = []
+    for col in (1, 2):
+        v0, v1 = pts[j - 1, col], pts[j, col]
+        v = np.where(t1 == t0, v1, v0 + w * (v1 - v0))
+        out.append(np.where(t <= ts[0], pts[0, col],
+                            np.where(t >= ts[-1], pts[-1, col], v)))
+    return out[0], out[1]
 
 
 def split_height(H: float, first: float) -> tuple[float, float]:

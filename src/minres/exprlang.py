@@ -270,8 +270,9 @@ def _dual_pow_const(a: Dual2, c: float, u: float, e: Bin) -> Dual2:
         d2 = 2.0 * a.d1 * a.d1 if c == 2.0 else 0.0
         return Dual2(0.0, 0.0, d2)
     # negative base: only integral exponents are defined (Python's float
-    # power silently promotes fractional ones to complex)
-    if c != round(c):
+    # power silently promotes fractional ones to complex); round raises
+    # OverflowError on an infinite exponent and ValueError on NaN
+    if math.isnan(c) or c != round(c):
         raise _domain_error(u, e, "negative base with non-integer exponent")
     k = int(round(c))
     f = v ** k

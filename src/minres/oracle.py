@@ -70,17 +70,18 @@ def check_maximality(spec: ProblemSpec, branch: str, profile: Profile,
     p_vals = model.eval_many(u_grid)[0]
     t_grid = T * (np.arange(1, n_t + 1) / n_t)
 
+    slopes = profile.sample(t_grid)[1]
+    p_prof = model.eval_many(slopes)[0]
+
     worst = -math.inf
     wit_t = wit_u = 0.0
     scale = 1.0
-    for t in t_grid:
-        t = float(t)
+    for t, slope, p in zip(t_grid.tolist(), slopes.tolist(), p_prof.tolist()):
         w = t ** (d - 2)
         h_grid = w * p_vals + lam * u_grid
         scale = max(scale, 1.0 + float(np.max(np.abs(h_grid))))
         k = int(np.argmin(h_grid))
-        slope = profile.slope_at(t)
-        h_prof = w * model.p(slope) + lam * slope
+        h_prof = w * p + lam * slope
         violation = h_prof - float(h_grid[k])
         if violation > worst:
             worst = violation

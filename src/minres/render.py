@@ -12,6 +12,10 @@ viewport: front surface drawn down from height H, rear surface up from
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 from . import __version__
 from .body import BodySolution, ParamArc, Profile
 
@@ -37,20 +41,19 @@ def _merged_grid(solution: BodySolution, n_uniform: int) -> list[float]:
     return sorted(ts)
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _slope_cells(u: np.ndarray, unambiguous: np.ndarray) -> list[str]:
+    return [repr(v) if ok else ""
+            for v, ok in zip(u.tolist(), unambiguous.tolist())]
 
 
 def profile_csv(solution: BodySolution, n_uniform: int = 256) -> str:
+    ts = _merged_grid(solution, n_uniform)
+    xf, uf, okf = solution.front.sample(ts)
+    xr, ur, okr = solution.rear.sample(ts)
     rows = ["t,x_front,x_rear,u_front,u_rear"]
-    for t in _merged_grid(solution, n_uniform):
-        rows.append(",".join((
-            repr(t),
-            repr(solution.front.x_at(t)),
-            repr(solution.rear.x_at(t)),
-            _cell(solution.front.slope_if_unambiguous(t)),
-            _cell(solution.rear.slope_if_unambiguous(t)),
-        )))
+    rows.extend(f"{t!r},{a!r},{b!r},{c},{d}" for t, a, b, c, d in zip(
+        ts, xf.tolist(), xr.tolist(), _slope_cells(uf, okf),
+        _slope_cells(ur, okr)))
     return "\n".join(rows) + "\n"
 
 
@@ -77,16 +80,16 @@ def profile_svg(solution: BodySolution, n_uniform: int = 256) -> str:
         return y0 - s * z
 
     # closed outline: front surface left-to-right, rear surface back
-    pts = []
-    for t in reversed(grid):  # left half of the front, r = -t
-        pts.append((px(-t), py(H - solution.front.x_at(t))))
-    for t in grid:  # right half of the front
-        pts.append((px(t), py(H - solution.front.x_at(t))))
-    for t in reversed(grid):  # right half of the rear
-        pts.append((px(t), py(solution.rear.x_at(t))))
-    for t in grid:  # left half of the rear
-        pts.append((px(-t), py(solution.rear.x_at(t))))
-    path = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+    ts = np.array(grid)
+    right, left = px(ts).tolist(), px(-ts).tolist()
+    front = py(H - solution.front.sample(grid)[0]).tolist()
+    rear = py(solution.rear.sample(grid)[0]).tolist()
+    point = "{:.2f},{:.2f}".format
+    path = " ".join(chain(
+        map(point, reversed(left), reversed(front)),  # left half of the front
+        map(point, right, front),  # right half of the front
+        map(point, reversed(right), reversed(rear)),  # right half of the rear
+        map(point, left, rear)))  # left half of the rear
 
     ticks = []
     for r, label in ((-T, f"-{T:g}"), (0.0, "0"), (T, f"{T:g}")):

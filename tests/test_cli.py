@@ -263,6 +263,22 @@ def test_error_line_on_derivative_underflow(capsys):
     assert payload["where"] == "ln((u+1e-200))"
 
 
+def test_error_line_on_nan_exponent(capsys):
+    """inf-inf is a NaN exponent: on a negative base, a DomainError."""
+    rc = run(["solve", "--dim", "2", "--T", "1", "--H", "1",
+              "--p-plus", "1/(1+u^2)+(0-u)^(1e999-1e999)",
+              "--p-minus", "zero"])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "DomainError"
+    assert payload["u"] == 1e-06
+    assert payload["where"] == "((0.0-u)^(inf-inf))"
+    assert payload["message"].endswith(
+        "(negative base with non-integer exponent)")
+
+
 def test_classify_line_format(capsys):
     rc = run(["classify", "--dim", "2", "--T", "2", "--H", "6"] + PAIR)
     assert rc == 0

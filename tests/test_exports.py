@@ -1,12 +1,14 @@
 """Export bytes pinned by digest on the 12-instance acceptance matrix.
 
 `profile_csv` and `profile_svg` at 256 samples are hashed and compared
-with digests recorded from the released exports.  Reruns are compared
-elsewhere (`test_cli.test_determinism_byte_identical`); this test is the
-one that notices when a change to the solvers or the profile model moves
-an exported byte.  A deliberate change of output updates these digests
-in the same commit and says so.  Float formatting is repr, so the
-digests hold on any IEEE-754 platform whose libm agrees to the last bit.
+with digests recorded from the released exports.  The d >= 3 rows are
+also pinned at 2048 samples, where the arcs hold most of the grid.
+Reruns are compared elsewhere (`test_cli.test_determinism_byte_identical`);
+this test is the one that notices when a change to the solvers or the
+profile model moves an exported byte.  A deliberate change of output
+updates these digests in the same commit and says so.  Float formatting
+is repr, so the digests hold on any IEEE-754 platform whose libm agrees
+to the last bit.
 """
 
 import hashlib
@@ -33,6 +35,19 @@ DIGESTS = {
     (4, 1.0, 0.5, "pair"): ("eb5ff8a2dec9c1cf", "74a35d26a2c97691"),
 }
 
+# the d >= 3 rows at --samples 2048, recorded from the per-point lookups
+# that the grid evaluation replaced
+DIGESTS_2048 = {
+    (3, 1.0, 0.4, "parallel"): ("fe820c0f929ae340", "935d23aed6694a1b"),
+    (3, 1.0, 0.55, "parallel"): ("6af4d5c25793ecca", "5e4181bdccbea2d9"),
+    (3, 1.0, 0.4, "pair"): ("67408265704afe62", "935d23aed6694a1b"),
+    (3, 1.0, 0.8, "pair"): ("5ebda575b632bf60", "b5e13f596e1527c3"),
+    (4, 1.0, 0.25, "parallel"): ("9a07b33e97836ce7", "17bc1b4fabc1a56b"),
+    (4, 1.0, 0.45, "parallel"): ("d73e4eb19b797542", "0e0e5cf2c19850c0"),
+    (4, 1.0, 0.2, "pair"): ("6e7a81c3f44b206a", "28f6541f8e226434"),
+    (4, 1.0, 0.5, "pair"): ("1672123738c13606", "0cc7acb1b5d24191"),
+}
+
 
 def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -43,3 +58,11 @@ def test_exports_match_recorded_digests(row):
     sol = solve(_spec_for(*row), n_samples=256)
     assert (_digest(profile_csv(sol, 256)),
             _digest(profile_svg(sol, 256))) == DIGESTS[row]
+
+
+@pytest.mark.parametrize("row", tuple(DIGESTS_2048),
+                         ids=lambda r: "-".join(map(str, r)))
+def test_arc_exports_match_recorded_digests_at_2048_samples(row):
+    sol = solve(_spec_for(*row), n_samples=2048)
+    assert (_digest(profile_csv(sol, 2048)),
+            _digest(profile_svg(sol, 2048))) == DIGESTS_2048[row]

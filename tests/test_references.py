@@ -1,9 +1,10 @@
 """Library paths checked against plain reference implementations.
 
-Profile lookups bisect segment ends and arc abscissae; the reference
-scans the segments and samples linearly.  eval2 formats a subexpression
-only when it raises DomainError; the reference formats every Bin and
-Call node eagerly, as eval2 once did.  Grid evaluation walks the tree
+Profile lookups search segment ends and arc abscissae for a whole grid
+at once; the reference scans the segments and samples linearly, one
+point at a time.  eval2 formats a subexpression only when it raises
+DomainError; the reference formats every Bin and Call node eagerly, as
+eval2 once did.  Grid evaluation walks the tree
 once for all points; the reference is a loop of scalar evaluations.
 The critical slopes are checked against 50-digit mpmath roots.
 """
@@ -16,14 +17,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minres.exprlang as exprlang
-from minres import solve
-from minres.body import Linear, ParamArc
+from minres import check_maximality, solve
+from minres.body import Linear, ParamArc, ProblemSpec, Profile
 from minres.criticals import critical_values, pair_criticals
 from minres.errors import (DomainError, InvalidParameter, MinresError,
                            UnknownIdentifier)
 from minres.exprlang import (_CONSTANTS, Bin, Call, Const, Dual2, Neg, Num,
                              Var, _chain, eval2, format_expr, parse)
 from minres.pressure import make_builtin, make_expr, make_zero
+from minres.render import profile_csv, profile_svg
 from test_acceptance import PAIR_MINUS, PAIR_PLUS, _spec_for
 from test_exprlang import exprs
 
@@ -129,6 +131,72 @@ def test_lookups_match_scan_on_two_arc_split():
         _assert_lookups_match(profile)
 
 
+_newton_bodies = dict(
+    d=st.sampled_from((2, 3, 4)), s=st.floats(min_value=0.25, max_value=4.0),
+    o=st.floats(min_value=0.0, max_value=1.0),
+    T=st.floats(min_value=0.25, max_value=4.0),
+    h=st.floats(min_value=0.0, max_value=3.0),
+    k=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=0.9)),
+    o2=st.floats(min_value=0.0, max_value=1.0))
+
+
+def _outside_message(profile, t):
+    """The InvalidParameter text of each entry point at t, as a tuple."""
+    texts = []
+    for lookup in (profile.x_at, profile.slope_at,
+                   profile.slope_if_unambiguous,
+                   lambda t: profile.sample((0.0, t, profile.T))):
+        with pytest.raises(InvalidParameter) as err:
+            lookup(t)
+        texts.append(str(err.value))
+    return tuple(texts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_newton_bodies)
+def test_grid_lookups_match_scan(d, s, o, T, h, k, o2):
+    """One sample call over every probe point returns, bit for bit, what
+    the reference scan returns point by point; out-of-range and NaN t
+    raise the same text through every entry point."""
+    p_minus = make_zero() if k == 0.0 else make_builtin(k * s, o2)
+    sol = solve(ProblemSpec(d=d, T=T, H=h * T, p_plus=make_builtin(s, o),
+                            p_minus=p_minus))
+    for profile in (sol.front, sol.rear):
+        ts = _probe_points(profile)
+        x, u, unambiguous = profile.sample(ts)
+        got = [(_bits(xv), _bits(uv), _bits(uv) if ok else None)
+               for xv, uv, ok
+               in zip(x.tolist(), u.tolist(), unambiguous.tolist())]
+        want = []
+        for t in ts:
+            ref_u = ref_slope_if_unambiguous(profile, t)
+            want.append((_bits(ref_x_at(profile, t)),
+                         _bits(ref_slope_at(profile, t)),
+                         None if ref_u is None else _bits(ref_u)))
+        assert got == want
+        for t in (-1e-3, -T, T * (1.0 + 1e-8), 2.0 * T, math.nan):
+            assert _outside_message(profile, t) == (
+                (f"t={t} outside [0, {profile.T}]",) * 4)
+
+
+def test_exports_and_maximality_make_no_per_point_lookups(monkeypatch):
+    """CSV, SVG and the maximality check on a two-arc body read the
+    profiles through whole-grid calls only."""
+    sol = solve(_spec_for(3, 1.0, 0.8, "pair"))
+    assert all(isinstance(p.segments[-1], ParamArc)
+               for p in (sol.front, sol.rear))
+
+    def refuse(self, t):
+        raise AssertionError("per-point profile lookup")
+
+    for name in ("x_at", "slope_at", "slope_if_unambiguous"):
+        monkeypatch.setattr(Profile, name, refuse)
+    profile_csv(sol, 256)
+    profile_svg(sol, 256)
+    check_maximality(sol.spec, "front", sol.front, sol.lambda_plus)
+    check_maximality(sol.spec, "rear", sol.rear, sol.lambda_minus)
+
+
 def _ref_pow_const(a, c, u, where):
     v = a.value
     if v > 0.0:
@@ -145,7 +213,7 @@ def _ref_pow_const(a, c, u, where):
             raise DomainError(u, where, "derivative unbounded at zero base")
         d2 = 2.0 * a.d1 * a.d1 if c == 2.0 else 0.0
         return Dual2(0.0, 0.0, d2)
-    if c != round(c):
+    if math.isnan(c) or c != round(c):
         raise DomainError(u, where, "negative base with non-integer exponent")
     k = int(round(c))
     f = v ** k
