@@ -12,19 +12,18 @@ from .body import (BodySolution, Linear, ParamArc, Profile, ProblemSpec,
                    flat_profile, unit_ball_volume)
 from .classical import ClassicalSolution, newton3, newton4
 from .criticals import (CriticalValues, PairCriticals, critical_values,
-                        pair_criticals, relaxed_dp, relaxed_p)
+                        pair_criticals, relaxed_p)
 from .errors import (AssumptionViolated, DomainError, ExprSyntaxError,
                      InfeasibleGrid, InvalidParameter, MinresError,
                      NoConvergence, NotUnimodal, QuadratureFailure,
                      UnknownIdentifier)
-from .exprlang import Dual2, eval2, format_expr, parse
+from .exprlang import eval2, format_expr, parse
 from .oracle import (BruteForceResult, MaximalityReport, brute_force,
                      check_maximality, resistance_quadrature)
 from .planar import classify2d, solve2d
 from .pressure import (PressureModel, ValidationReport, make_builtin,
                        make_expr, make_zero, validate)
-from .spatial import (GTable, SpatialExtremal, extremal_from_U,
-                      resistance_branch, solve_height_for_U, solve_spatial)
+from .spatial import solve_spatial
 
 __version__ = "0.1.0"
 
@@ -44,16 +43,14 @@ def solve(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
 
 __all__ = [
     "AssumptionViolated", "BodySolution", "BruteForceResult",
-    "ClassicalSolution", "CriticalValues", "DomainError", "Dual2",
-    "ExprSyntaxError", "GTable", "InfeasibleGrid", "InvalidParameter",
-    "Linear", "MaximalityReport", "MinresError", "NoConvergence",
-    "NotUnimodal", "PairCriticals", "ParamArc", "PressureModel",
-    "ProblemSpec", "Profile", "QuadratureFailure", "SpatialExtremal",
-    "UnknownIdentifier", "ValidationReport", "brute_force", "check_maximality",
-    "classify2d", "critical_values", "eval2", "extremal_from_U",
-    "flat_profile", "format_expr", "make_builtin", "make_expr",
+    "ClassicalSolution", "CriticalValues", "DomainError", "ExprSyntaxError",
+    "InfeasibleGrid", "InvalidParameter", "Linear", "MaximalityReport",
+    "MinresError", "NoConvergence", "NotUnimodal", "PairCriticals",
+    "ParamArc", "PressureModel", "ProblemSpec", "Profile",
+    "QuadratureFailure", "UnknownIdentifier", "ValidationReport",
+    "brute_force", "check_maximality", "classify2d", "critical_values",
+    "eval2", "flat_profile", "format_expr", "make_builtin", "make_expr",
     "make_zero", "newton3", "newton4", "pair_criticals", "parse",
-    "relaxed_dp", "relaxed_p", "resistance_branch",
-    "resistance_quadrature", "solve", "solve2d", "solve_height_for_U",
+    "relaxed_p", "resistance_quadrature", "solve", "solve2d",
     "solve_spatial", "unit_ball_volume", "validate",
 ]

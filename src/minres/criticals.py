@@ -124,12 +124,14 @@ def relaxed_p(model: PressureModel, cv: CriticalValues, u: float) -> float:
     return model.p(u)
 
 
-def relaxed_dp(model: PressureModel, cv: CriticalValues, u: float) -> float:
-    if u < 0.0:
-        raise InvalidParameter(f"slope must be nonnegative, got {u}")
-    if u <= cv.u0:
-        return -cv.B
-    return model.dp(u)
+def slope_at_multiplier(model: PressureModel, cv: CriticalValues,
+                        mu: float) -> float:
+    """The slope z >= u0 with p'(z) = -mu, for 0 < mu <= B."""
+    def marginal(u: float) -> float:
+        return model.dp(u) + mu
+
+    lo, hi = grow_bracket_upper(marginal, cv.u0, max(cv.u0, 1.0))
+    return bracket_root(marginal, lo, hi) if lo != hi else lo
 
 
 _ZERO_SENTINEL = CriticalValues(u_bar=0.0, u0=math.inf, B=0.0)
@@ -182,14 +184,8 @@ def pair_criticals(p_plus: PressureModel, p_minus: PressureModel,
             if err is not None:
                 raise err
 
-    if minus.B == 0.0:
-        u_star: float = math.inf
-    else:
-        def marginal(u: float) -> float:
-            return p_plus.dp(u) + minus.B
-
-        lo, hi = grow_bracket_upper(marginal, plus.u0, max(plus.u0, 1.0))
-        u_star = bracket_root(marginal, lo, hi) if lo != hi else lo
+    u_star = (math.inf if minus.B == 0.0
+              else slope_at_multiplier(p_plus, plus, minus.B))
 
     h_star: float | None = None
     if d >= 3:

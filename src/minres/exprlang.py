@@ -258,6 +258,9 @@ def _dual_pow_const(a: Dual2, c: float, u: float, e: Bin) -> Dual2:
         f = v ** c
         return _chain(a, f, c * f / v, c * (c - 1.0) * f / (v * v))
     if v == 0.0:
+        if math.isnan(c):
+            # NaN fails every test below and would read as c >= 2
+            raise _domain_error(u, e, "zero base with NaN exponent")
         if c == 0.0:
             raise _domain_error(u, e, "0^0")
         if c < 0.0:

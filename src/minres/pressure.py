@@ -136,7 +136,7 @@ def make_expr(source: str | Expr) -> PressureModel:
 @dataclass(frozen=True)
 class ValidationReport:
     passed: bool
-    limit_at_infinity: float
+    limit_at_infinity: float | None  # None when p is undefined somewhere
     u_bar_estimate: float | None
     violations: tuple  # of (condition, witness_u, description)
 
@@ -145,13 +145,23 @@ def validate(model: PressureModel) -> ValidationReport:
     """Advisory structural check of a pressure law.
 
     Samples 256 slopes on [1e-8, 1e6] and compares against a relative
-    tolerance of 1e-6.  The zero law is exempt by construction.
+    tolerance of 1e-6.  The zero law is exempt by construction.  A slope
+    where the law is undefined fails (i), and the checks stop there.
     """
     if model.is_zero:
         return ValidationReport(True, 0.0, None, ())
-    u_max, n_samples, tol = 1e6, 256, 1e-6
-
     violations = []
+    try:
+        limit, u_bar = _check_conditions(model, violations)
+    except DomainError as err:
+        violations.append(("i", err.u, str(err)))
+        limit = u_bar = None
+    return ValidationReport(not violations, limit, u_bar, tuple(violations))
+
+
+def _check_conditions(model: PressureModel, violations: list):
+    """Appends the violations of (i)-(iv); returns (limit, u_bar)."""
+    u_max, n_samples, tol = 1e6, 256, 1e-6
     grid = np.geomspace(1e-8, u_max, n_samples)
     p0, dp0, _ = model.eval(0.0)
     scale = max(1.0, abs(p0))
@@ -200,5 +210,4 @@ def validate(model: PressureModel) -> ValidationReport:
                 hi = float(grid[hi_candidates[0]])
                 u_bar_estimate = bracket_root(lambda v: model.d2p(v), lo, hi)
 
-    return ValidationReport(not violations, float(model.p(u_max)),
-                            u_bar_estimate, tuple(violations))
+    return float(model.p(u_max)), u_bar_estimate

@@ -13,12 +13,13 @@ where lam = T^{d-2} |p'(U)| and
            u0 / B^omega + int_{u0}^u |p'|^{-omega}  above.
 
 The branch height is T * b(U) with b(U) = U - |p'(U)|^omega g(U)
-(strictly increasing, b(u0) = 0), and the branch resistance is
-T^{d-1} (p(U) + |p'(U)|^{1+omega} g(U)).
+(b(u0) = 0, and b' = omega |p'|^(omega-1) p'' g > 0 where p'' > 0),
+and the branch resistance is T^{d-1} (p(U) + |p'(U)|^{1+omega} g(U)).
 
 For a two-sided body: the rear stays flat while h = H/T <= h_star;
-above h_star the split solves p_minus'(z_minus) = p_plus'(z_plus)
-subject to b_plus(z_plus) + b_minus(z_minus) = h.
+above h_star both branches share one multiplier, p_plus'(z_plus) =
+p_minus'(z_minus), and the split solves the single equation
+b_plus(z_plus(z_minus)) + b_minus(z_minus) = h in z_minus.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .body import (FLAT_DISK, SPATIAL, BodySolution, Linear, ParamArc,
                    Profile, ProblemSpec, flat_profile, split_height)
-from .criticals import CriticalValues, pair_criticals
+from .criticals import CriticalValues, pair_criticals, slope_at_multiplier
 from .errors import AssumptionViolated, InvalidParameter, NoConvergence
 from .numerics import adaptive_simpson, bracket_root, grow_bracket_upper
 from .pressure import PressureModel
@@ -117,14 +118,18 @@ class SpatialExtremal:
         return self.beta == 0.0
 
 
-def _assert_b_monotone(gt: GTable, hi: float) -> None:
-    """Numerical spot check that the height map is nondecreasing."""
-    us = np.geomspace(gt.cv.u0 * (1.0 + 1e-6), max(hi, gt.cv.u0 * 2.0), 8)
-    bs = [gt.b(float(v)) for v in us]
-    for a, b2 in zip(bs, bs[1:]):
-        if b2 < a - 1e-10 * max(1.0, abs(a)):
-            raise AssumptionViolated(
-                "branch height map is not monotone", witness=(a, b2))
+def _check_curvature(gt: GTable, u_hi: float) -> None:
+    """The branch needs p'' > 0 on the slopes [u0, u_hi] it may use;
+    b' = omega |p'|^(omega-1) p'' g, so b rises exactly there."""
+    us = np.linspace(gt.cv.u0, u_hi, 32)
+    _, _, d2, err = gt.model.eval_prefix(us)
+    fails = np.flatnonzero(d2 <= 0.0)
+    if fails.size:
+        u = float(us[fails[0]])
+        raise AssumptionViolated(
+            f"law curvature not positive at u={u:g}", witness=u)
+    if err is not None:
+        raise err
 
 
 def _invert_height(gt: GTable, h: float) -> float:
@@ -136,10 +141,8 @@ def _invert_height(gt: GTable, h: float) -> float:
         return gt.b(U) - h
 
     lo, hi = grow_bracket_upper(shifted, gt.cv.u0, max(gt.cv.u0, 1.0))
-    if lo == hi:
-        return lo
-    _assert_b_monotone(gt, hi)
-    return bracket_root(shifted, lo, hi)
+    _check_curvature(gt, hi)
+    return lo if lo == hi else bracket_root(shifted, lo, hi)
 
 
 def extremal_from_U(gt: GTable, U: float, T: float,
@@ -214,19 +217,6 @@ def _profile_from_extremal(ex: SpatialExtremal) -> Profile:
     return Profile(T=ex.T, segments=tuple(segments), beta=ex.beta)
 
 
-def _check_front_curvature(gt: GTable, u_hi: float) -> None:
-    """The front solver needs p'' > 0 on the slopes it actually uses."""
-    us = np.linspace(gt.cv.u0, u_hi, 32)
-    _, _, d2, err = gt.model.eval_prefix(us)
-    fails = np.flatnonzero(d2 <= 0.0)
-    if fails.size:
-        u = float(us[fails[0]])
-        raise AssumptionViolated(
-            f"front law curvature not positive at u={u:g}", witness=u)
-    if err is not None:
-        raise err
-
-
 def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
     """Globally optimal body of revolution for d >= 3."""
     if spec.d < 3:
@@ -258,7 +248,6 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
             raise NoConvergence(f"front height solve failed: {err}",
                                 bracket=err.bracket,
                                 residual=err.residual) from err
-        _check_front_curvature(gt_plus, front_ex.U)
         front = _profile_from_extremal(front_ex)
         rear = flat_profile(T)
         R_p = factor * resistance_branch(gt_plus, front_ex, T, d)
@@ -272,21 +261,22 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
                             U_plus=front_ex.U,
                             U_minus=None)
 
-    # curved rear: solve the split
+    # curved rear: both branches share one multiplier, so z_plus follows
+    # from z_minus without quadrature and the heights give one equation
     gt_minus = GTable(spec.p_minus, pc.minus, d)
 
-    def inner_front_slope(z_minus: float) -> float:
-        rest = max(h - gt_minus.b(z_minus), 0.0)
+    def front_slope(z_minus: float) -> float:
         try:
-            return _invert_height(gt_plus, rest)
+            return slope_at_multiplier(spec.p_plus, pc.plus,
+                                       -spec.p_minus.dp(z_minus))
         except NoConvergence as err:
             raise NoConvergence(
-                f"inner front height solve failed at z_minus={z_minus:g}: {err}",
+                f"inner front slope solve failed at z_minus={z_minus:g}: {err}",
                 bracket=err.bracket, residual=err.residual) from err
 
     def split_balance(z_minus: float) -> float:
-        return spec.p_minus.dp(z_minus) - spec.p_plus.dp(
-            inner_front_slope(z_minus))
+        # rises from h_star - h < 0 at u0_minus to b_plus > 0 where b_minus = h
+        return gt_plus.b(front_slope(z_minus)) + gt_minus.b(z_minus) - h
 
     lo = pc.minus.u0
     try:
@@ -301,8 +291,8 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
             witness=(f_lo, f_hi))
     z_minus = lo if f_lo == 0.0 else (
         hi if f_hi == 0.0 else bracket_root(split_balance, lo, hi))
-    z_plus = inner_front_slope(z_minus)
-    _check_front_curvature(gt_plus, z_plus)
+    z_plus = front_slope(z_minus)
+    _check_curvature(gt_plus, z_plus)
 
     rear_ex = extremal_from_U(gt_minus, z_minus, T, n_samples)
     front_ex = extremal_from_U(gt_plus, z_plus, T, n_samples)

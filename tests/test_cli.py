@@ -264,7 +264,8 @@ def test_error_line_on_derivative_underflow(capsys):
 
 
 def test_error_line_on_nan_exponent(capsys):
-    """inf-inf is a NaN exponent: on a negative base, a DomainError."""
+    """inf-inf is a NaN exponent: a DomainError at the first slope the
+    solver evaluates, u = 0, where the base is zero."""
     rc = run(["solve", "--dim", "2", "--T", "1", "--H", "1",
               "--p-plus", "1/(1+u^2)+(0-u)^(1e999-1e999)",
               "--p-minus", "zero"])
@@ -273,10 +274,9 @@ def test_error_line_on_nan_exponent(capsys):
     assert len(lines) == 1
     payload = json.loads(lines[0])
     assert payload["error"] == "DomainError"
-    assert payload["u"] == 1e-06
+    assert payload["u"] == 0.0
     assert payload["where"] == "((0.0-u)^(inf-inf))"
-    assert payload["message"].endswith(
-        "(negative base with non-integer exponent)")
+    assert payload["message"].endswith("(zero base with NaN exponent)")
 
 
 def test_classify_line_format(capsys):

@@ -20,6 +20,10 @@ from minres.render import profile_csv, profile_svg
 from test_acceptance import MATRIX, _spec_for
 
 # (d, T, H, flux): first 16 hex digits of sha256 of (CSV, SVG)
+# The CSVs of the two split rows (d >= 3, curved rear) were re-recorded
+# when the split moved to one equation in the shared multiplier: the
+# terminal slopes moved in the last bits, within 1e-15 of the 50-digit
+# references in test_references.test_split_matches_mpmath_references.
 DIGESTS = {
     (2, 2.0, 1.0, "parallel"): ("0dddae57e61e20a0", "11536fda67e05bde"),
     (2, 2.0, 3.0, "parallel"): ("8b2541bf734a648b", "e9a659161633cb4b"),
@@ -28,11 +32,11 @@ DIGESTS = {
     (3, 1.0, 0.4, "parallel"): ("9607b9401438d158", "7a0fb2e08d5fc8da"),
     (3, 1.0, 0.55, "parallel"): ("2ba51acf26cad591", "4a98e2c84a5c78ec"),
     (3, 1.0, 0.4, "pair"): ("ae10b8275c3de00f", "7a0fb2e08d5fc8da"),
-    (3, 1.0, 0.8, "pair"): ("fef08a4156be769b", "c482187e5c9a3b6f"),
+    (3, 1.0, 0.8, "pair"): ("8514d817d4a7bf7f", "c482187e5c9a3b6f"),
     (4, 1.0, 0.25, "parallel"): ("2e9cf6c7f7b6fae4", "87baff5ed086d9c6"),
     (4, 1.0, 0.45, "parallel"): ("646f7cfd2ed152f0", "e044472a0cd84b44"),
     (4, 1.0, 0.2, "pair"): ("9fd53b9c2324f7d2", "2982f205758e5ca2"),
-    (4, 1.0, 0.5, "pair"): ("eb5ff8a2dec9c1cf", "74a35d26a2c97691"),
+    (4, 1.0, 0.5, "pair"): ("7fbf50281d5f6364", "74a35d26a2c97691"),
 }
 
 # the d >= 3 rows at --samples 2048, recorded from the per-point lookups
@@ -41,11 +45,11 @@ DIGESTS_2048 = {
     (3, 1.0, 0.4, "parallel"): ("fe820c0f929ae340", "935d23aed6694a1b"),
     (3, 1.0, 0.55, "parallel"): ("6af4d5c25793ecca", "5e4181bdccbea2d9"),
     (3, 1.0, 0.4, "pair"): ("67408265704afe62", "935d23aed6694a1b"),
-    (3, 1.0, 0.8, "pair"): ("5ebda575b632bf60", "b5e13f596e1527c3"),
+    (3, 1.0, 0.8, "pair"): ("a5fed4090c0dedee", "b5e13f596e1527c3"),
     (4, 1.0, 0.25, "parallel"): ("9a07b33e97836ce7", "17bc1b4fabc1a56b"),
     (4, 1.0, 0.45, "parallel"): ("d73e4eb19b797542", "0e0e5cf2c19850c0"),
     (4, 1.0, 0.2, "pair"): ("6e7a81c3f44b206a", "28f6541f8e226434"),
-    (4, 1.0, 0.5, "pair"): ("1672123738c13606", "0cc7acb1b5d24191"),
+    (4, 1.0, 0.5, "pair"): ("1057aa7a5585b37f", "0cc7acb1b5d24191"),
 }
 
 

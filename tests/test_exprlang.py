@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from minres.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from minres.exprlang import (_CONSTANTS, _FUNCTIONS, Bin, Call, Const, Dual2,
-                             Neg, Num, Var, eval2, format_expr, parse)
+                             Neg, Num, Var, eval2, eval_prefix, format_expr,
+                             parse)
 
 
 def _trees(numbers, binary, max_leaves):
@@ -178,6 +179,7 @@ DOMAIN_ERRORS = (
     ("u^0.5", -2.0, "(u^0.5)", "negative base with non-integer exponent"),
     ("(0-u)^(1e999-1e999)", 1.0, "((0.0-u)^(inf-inf))",
      "negative base with non-integer exponent"),
+    ("u^(1e999-1e999)", 0.0, "(u^(inf-inf))", "zero base with NaN exponent"),
     ("u^u", -1.0, "(u^u)", "variable exponent needs positive base"),
     ("exp(u)", 1000.0, "exp(u)", "overflow"),
     ("(0-u)^1e999", 1.0, "((0.0-u)^inf)", "overflow"),
@@ -187,11 +189,15 @@ DOMAIN_ERRORS = (
 
 
 def test_domain_errors():
+    """eval2 raises each; a grid walk stops at the same point with it."""
     for text, u, where, reason in DOMAIN_ERRORS:
+        expected = (u, where, f"undefined at u={u!r} in {where} ({reason})")
         with pytest.raises(DomainError) as err:
             ev(text, u)
-        assert (err.value.u, err.value.where, str(err.value)) == (
-            u, where, f"undefined at u={u!r} in {where} ({reason})"), text
+        assert (err.value.u, err.value.where, str(err.value)) == expected, text
+        d, grid_err = eval_prefix(parse(text), [u, u + 1.0])
+        assert d.value.size == 0, text
+        assert (grid_err.u, grid_err.where, str(grid_err)) == expected, text
 
 
 def test_abs_kink():

@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from minres.errors import InvalidParameter
+from minres.errors import DomainError, InvalidParameter
 from minres.pressure import (PressureModel, make_builtin, make_expr,
                              make_zero, validate)
 
@@ -87,6 +88,20 @@ def test_validate_rejects_wrong_curvature():
     rep = validate(make_expr("exp(-u)"))
     assert not rep.passed
     assert any(c == "iv" for c, _, _ in rep.violations)
+
+
+def test_validate_reports_an_undefined_slope_as_data():
+    """Condition (i) at the first sampled slope where sqrt(1-u) is
+    undefined, instead of the DomainError the law raises there."""
+    model = make_expr("1/(1+u^2)+sqrt(1-u)")
+    with pytest.raises(DomainError) as undefined:
+        model.eval_many(np.geomspace(1e-8, 1e6, 256))
+    rep = validate(model)
+    assert not rep.passed
+    assert rep.violations == (("i", undefined.value.u,
+                               str(undefined.value)),)
+    assert 1.0 < undefined.value.u < 1.1
+    assert rep.limit_at_infinity is None and rep.u_bar_estimate is None
 
 
 def test_validate_zero_passes():

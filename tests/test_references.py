@@ -6,7 +6,8 @@ point at a time.  eval2 formats a subexpression only when it raises
 DomainError; the reference formats every Bin and Call node eagerly, as
 eval2 once did.  Grid evaluation walks the tree
 once for all points; the reference is a loop of scalar evaluations.
-The critical slopes are checked against 50-digit mpmath roots.
+The critical slopes and the d >= 3 split are checked against 50-digit
+mpmath roots.
 """
 
 import math
@@ -203,6 +204,9 @@ def _ref_pow_const(a, c, u, where):
         f = v ** c
         return _chain(a, f, c * f / v, c * (c - 1.0) * f / (v * v))
     if v == 0.0:
+        if math.isnan(c):
+            # NaN fails every test below and would read as c >= 2
+            raise DomainError(u, where, "zero base with NaN exponent")
         if c == 0.0:
             raise DomainError(u, where, "0^0")
         if c < 0.0:
@@ -473,3 +477,60 @@ def test_criticals_match_mpmath_references():
     print(f"pair u_star: error {err:.2e}")
     worst = max(worst, err)
     assert worst <= 1e-12
+
+
+def _mp_branch(law, d):
+    """(b, R) of one law in d dimensions as 50-digit functions of the
+    terminal slope U > u0, with R the branch resistance on T = 1."""
+    p = _MP_LAWS[law]
+    _, u0, B = _mp_criticals(p)
+    omega = mpmath.mpf(1) / (d - 2)
+    dp = lambda u: mpmath.diff(p, u)
+    if d == 3:
+        # |p'|^-1 = (1+u^2)^2 / (2 s u) for p = s/(1+u^2) + c
+        s = 1 if law == PAIR_PLUS else mpmath.mpf("0.5")
+        G = lambda u: (mpmath.log(u) + u ** 2 + u ** 4 / 4) / (2 * s)
+        g = lambda U: u0 / B + G(U) - G(u0)
+    else:
+        g = lambda U: (u0 / B ** omega
+                       + mpmath.quad(lambda v: (-dp(v)) ** -omega, [u0, U]))
+    b = lambda U: U - (-dp(U)) ** omega * g(U)
+    R = lambda U: p(U) + (-dp(U)) ** (1 + omega) * g(U)
+    return dp, b, R, g, B
+
+
+@pytest.mark.parametrize("d,H", [(3, 0.8), (4, 0.5)])
+def test_split_matches_mpmath_references(d, H):
+    """The split's terminal slopes, rear height, multiplier and
+    resistance against 50-digit roots of the two split equations
+    p_plus'(z_plus) = p_minus'(z_minus) and b_plus + b_minus = H (T = 1);
+    prints the achieved error of each beside its tolerance."""
+    sol = solve(_spec_for(d, 1.0, H, "pair"))
+    pc = pair_criticals(make_expr(PAIR_PLUS), make_expr(PAIR_MINUS), d)
+    with mpmath.workdps(50):
+        dp_p, b_p, R_p, g_p, _ = _mp_branch(PAIR_PLUS, d)
+        dp_m, b_m, R_m, _, B_m = _mp_branch(PAIR_MINUS, d)
+        omega = mpmath.mpf(1) / (d - 2)
+        u_star = mpmath.findroot(lambda u: dp_p(u) + B_m, pc.u_star)
+        h_star = u_star - B_m ** omega * g_p(u_star)
+        z_p, z_m = mpmath.findroot(
+            [lambda zp, zm: dp_p(zp) - dp_m(zm),
+             lambda zp, zm: b_p(zp) + b_m(zm) - H],
+            (sol.U_plus, sol.U_minus))
+        refs = (("h_star", pc.h_star, h_star, 1e-11),
+                ("U_plus", sol.U_plus, z_p, 1e-12),
+                ("U_minus", sol.U_minus, z_m, 1e-12),
+                ("beta_minus", sol.beta_minus, b_m(z_m), 1e-11),
+                ("lambda_plus", sol.lambda_plus, -dp_p(z_p), 1e-12))
+        R_total = R_p(z_p) + R_m(z_m)
+    failed = []
+    for name, got, want, tol in refs:
+        err = abs(got - float(want))
+        print(f"d={d} H={H} {name}: error {err:.2e} (tolerance {tol:.0e})")
+        if err > tol:
+            failed.append(name)
+    rel = abs(sol.R_total - float(R_total)) / float(R_total)
+    print(f"d={d} H={H} R_total: relative error {rel:.2e} (tolerance 1e-12)")
+    if rel > 1e-12:
+        failed.append("R_total")
+    assert not failed

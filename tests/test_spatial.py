@@ -71,6 +71,23 @@ def test_height_inversion_round_trip():
     assert ex.U == pytest.approx(2.0, rel=1e-9)
 
 
+def test_height_inversion_rejects_nonpositive_curvature():
+    """A bump near u = 3 makes p'' <= 0 on about [2.7, 3.5] and keeps the
+    drop rate unimodal.  b' = omega |p'|^(omega-1) p'' g stops rising
+    there, so no height whose bracket reaches it is solved."""
+    law = make_expr("1/(1+u^2)+0.05*exp(0-(u-3)^2)")
+    cv = critical_values(law)
+    gt = GTable(model=law, cv=cv, d=3)
+    assert solve_height_for_U(gt, 1.0).U < 2.0
+    with pytest.raises(AssumptionViolated) as err:
+        solve_height_for_U(gt, 2.0)
+    u = err.value.witness
+    assert cv.u0 < u < 3.5 and law.d2p(u) <= 0.0
+    assert str(err.value) == f"law curvature not positive at u={u:g}"
+    with pytest.raises(AssumptionViolated):
+        solve(ProblemSpec(d=3, T=1.0, H=2.0, p_plus=law, p_minus=make_zero()))
+
+
 def test_terminal_slope_discontinuity():
     """The profile leaves the flat cap at slope u0, never below."""
     gt = newton_gtable(3)
