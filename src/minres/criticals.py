@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolated, InvalidParameter, NoConvergence, NotUnimodal
-from .numerics import bracket_root, golden_section_max, grow_bracket_upper
+from .numerics import bracket_root, grow_bracket_upper
 from .pressure import PressureModel
 
 
@@ -54,10 +54,6 @@ def critical_values(model: PressureModel) -> CriticalValues:
     if model.is_zero:
         raise InvalidParameter("critical values undefined for the zero law")
     p0 = model.p(0.0)
-
-    def drop_rate(u: float) -> float:
-        return (p0 - model.p(u)) / u
-
     us, vals, peaks = _scan_peaks(model, p0)
     if not peaks:
         # maximum at the scan edge: law keeps improving toward 0 or 1e6
@@ -73,23 +69,15 @@ def critical_values(model: PressureModel) -> CriticalValues:
                     "multiple local maxima of the drop rate",
                     witnesses=(us[a], us[b]))
     k = max(peaks, key=lambda i: vals[i])
-    u_lo, u_hi = us[k - 1], us[k + 1]
-    u_g, _ = golden_section_max(drop_rate, u_lo, u_hi)
+    lo, hi = us[k - 1], us[k + 1]
 
-    # golden section localizes an interior max only to ~sqrt(eps);
-    # polish on the stationarity function s(u) = p(0) - p(u) + u p'(u),
-    # which increases through u0.
+    # the drop rate r(u) = (p(0) - p(u))/u has r' = -s/u^2 with the
+    # stationarity function s(u) = p(0) - p(u) + u p'(u), so s changes
+    # sign on the peak's bracket, increasing through u0
     def stationarity(u: float) -> float:
-        return p0 - model.p(u) + u * model.dp(u)
+        p, dp, _ = model.eval(u)
+        return p0 - p + u * dp
 
-    width = max(1e-6 * max(1.0, u_g), 1e-9)
-    lo, hi = max(u_g - width, 1e-12), u_g + width
-    for _ in range(60):
-        if stationarity(lo) < 0.0 < stationarity(hi):
-            break
-        width *= 2.0
-        lo = max(lo - width, 1e-12)
-        hi += width
     u0 = bracket_root(stationarity, lo, hi)
     B = (p0 - model.p(u0)) / u0
 

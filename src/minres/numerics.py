@@ -3,7 +3,8 @@
 Root finding is always bracketed: callers supply (or grow) a sign-change
 interval, and running out of iterations raises instead of returning a
 best effort.  Roots are located to an absolute abscissa tolerance of
-1e-12.
+1e-12.  The maximizer `golden_section_max` has no caller in the package;
+it is kept only because the benchmark tracer wraps it by name.
 """
 
 from __future__ import annotations
@@ -100,9 +101,10 @@ def golden_section_max(f, a: float, b: float) -> tuple[float, float]:
     """Maximize a unimodal f on [a, b]; returns (x, f(x)).
 
     Localizes the maximizer to width 1e-12*max(1, |x|) in <= 400 steps.
-    Interior maxima of smooth functions cannot be pinned tighter than
-    ~sqrt(eps) this way; callers needing more polish the stationarity
-    equation.
+    Unused: `critical_values` finds u0 as a root of its stationarity
+    function instead.  Kept only because `bench/tracer.py` wraps it by
+    name; it goes with the benchmark change of ROADMAP item 4, which
+    moves the tracer onto counts recorded by the package.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)

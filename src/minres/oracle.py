@@ -232,29 +232,17 @@ def _arc_quadrature(model: PressureModel, arc: ParamArc, d: int,
                          + (2.0 - h0 / h1) * f2))
             i += 2
         else:
-            # single leftover interval: quadratic through the last triple
-            t0, t1, t2 = ts[i - 1], ts[i], ts[i + 1]
+            # single leftover interval [t1, t2]: the quadratic through the
+            # last triple, integrated in local steps (exact on quadratics
+            # and free of the cancellation of absolute-abscissa powers)
+            h0, h1 = ts[i] - ts[i - 1], ts[i + 1] - ts[i]
             f0, f1, f2 = fs[i - 1], fs[i], fs[i + 1]
-            total += _quad_segment(t0, t1, t2, f0, f1, f2, t1, t2)
+            total += (h1 / 6.0
+                      * (-h1 * h1 / (h0 * (h0 + h1)) * f0
+                         + (3.0 + h1 / h0) * f1
+                         + (2.0 * h1 + 3.0 * h0) / (h0 + h1) * f2))
             i += 1
     return total
-
-
-def _quad_segment(t0, t1, t2, f0, f1, f2, a, b) -> float:
-    """Integral over [a, b] of the quadratic through three nodes."""
-    denom0 = (t0 - t1) * (t0 - t2)
-    denom1 = (t1 - t0) * (t1 - t2)
-    denom2 = (t2 - t0) * (t2 - t1)
-
-    def antiderivative(x):
-        total = 0.0
-        for f, c, o1, o2 in ((f0, denom0, t1, t2), (f1, denom1, t0, t2),
-                             (f2, denom2, t0, t1)):
-            total += f / c * (x ** 3 / 3.0 - (o1 + o2) * x * x / 2.0
-                              + o1 * o2 * x)
-        return total
-
-    return antiderivative(b) - antiderivative(a)
 
 
 def resistance_quadrature(spec: ProblemSpec, branch: str,

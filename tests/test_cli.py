@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -404,3 +407,17 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert "minres" in capsys.readouterr().out
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    """Every CLI run pays for what `import minres.cli` loads:
+    numpy.polynomial alone adds about 1.6 MB to a fresh process's
+    peak RSS, and scipy more."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, minres, minres.cli; print(sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'scipy' "
+             "or m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

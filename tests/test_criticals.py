@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from minres.criticals import critical_values, pair_criticals, relaxed_p
 from minres.errors import (AssumptionViolated, InvalidParameter, NotUnimodal)
@@ -158,3 +159,36 @@ def test_two_hump_law_not_unimodal():
     law = make_expr("1/(1+u^2)+40/(1+(u/100)^2)")
     with pytest.raises(NotUnimodal):
         critical_values(law)
+
+
+def test_criticals_match_closed_forms():
+    """Over s in [0.5, 2] and o in [-1, 1], every spelling of the Newton
+    family s/(1+u^2)+o gives u0 = 1, B = s/2, u_bar = 1/sqrt(3), and
+    s/(1+u^4)+o gives u0 = 3^(1/4), B = s 3^(3/4)/4, u_bar = (3/5)^(1/4),
+    all within the 1e-12 root tolerance; prints the worst error of each."""
+    worst = {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(min_value=0.5, max_value=2.0),
+           o=st.floats(min_value=-1.0, max_value=1.0))
+    @example(s=1.0, o=0.0)
+    def check(s, o):
+        newton = (1.0, s / 2.0, NEWTON_UBAR)
+        quartic = (3.0 ** 0.25, s * 3.0 ** 0.75 / 4.0, 0.6 ** 0.25)
+        laws = [(make_builtin(s, o), newton)] + [
+            (make_expr(text.format(s=repr(s), o=repr(o))), want)
+            for text, want in (("{s}/(1+u^2)+{o}", newton),
+                               ("{s}/(u*u+1)+{o}", newton),
+                               ("{s}*(1+u^2)^-1+{o}", newton),
+                               ("{s}/(1+u^4)+{o}", quartic))]
+        for model, want in laws:
+            cv = critical_values(model)
+            for name, got, ref in zip(("u0", "B", "u_bar"),
+                                      (cv.u0, cv.B, cv.u_bar), want):
+                err = abs(got - ref)
+                worst[name] = max(worst.get(name, 0.0), err)
+                assert err <= 1e-12, (model.describe(), name, got, ref)
+
+    check()
+    for name, err in worst.items():
+        print(f"closed-form {name}: worst error {err:.2e}")

@@ -1,8 +1,9 @@
 """Certification oracles: pointwise maximality, brute-force DP, quadrature."""
 
+import numpy as np
 import pytest
 
-from minres.body import Linear, ProblemSpec, Profile
+from minres.body import Linear, ParamArc, ProblemSpec, Profile
 from minres.errors import InfeasibleGrid, InvalidParameter
 from minres.oracle import brute_force, check_maximality, resistance_quadrature
 from minres.planar import solve2d
@@ -145,6 +146,28 @@ def test_quadrature_zero_law():
     spec = parallel_spec(2, 2.0, 1.0)
     sol = solve2d(spec)
     assert resistance_quadrature(spec, "rear", sol.rear) == 0.0
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("n", (1000, 4000))
+def test_quadrature_exact_on_a_straight_arc_with_a_leftover_interval(d, n):
+    """An even sample count leaves one interval outside the Simpson pairs.
+
+    On a straight arc the integrand p(u) (d-1) t^(d-2) is a polynomial of
+    degree d-2 <= 2 in t, so the rule is exact and only rounding remains.
+    """
+    slope, t_start, T = 0.7, 1.0, 2.0
+    ts = np.linspace(t_start, T, n)
+    arc = ParamArc(tuple((t, slope * (t - t_start), slope) for t in ts))
+    profile = Profile(T, (Linear(0.0, t_start, 0.0), arc),
+                      slope * (T - t_start))
+    spec = parallel_spec(d, T, slope * (T - t_start))
+    p = spec.p_plus.p
+    exact = spec.resistance_factor * (
+        p(0.0) * t_start ** (d - 1)
+        + p(slope) * (T ** (d - 1) - t_start ** (d - 1)))
+    r = resistance_quadrature(spec, "front", profile)
+    assert r == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_quadrature_on_arcs_matches_analytic():
