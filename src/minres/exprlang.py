@@ -11,10 +11,14 @@ tighter than unary minus, so -u^2 means -(u^2)):
     fn     := 'ln' | 'exp' | 'sqrt' | 'abs'
 
 eval2 returns the value together with the first and second derivative
-with respect to u, propagated through a second-order dual number.
+with respect to u, propagated through a second-order dual number.  It
+runs a compiled form: compile2 turns the tree, once, into closures that
+each do one node's arithmetic, and a caller that evaluates one law many
+times (a PressureModel) keeps that form and passes it to eval2.
 eval_prefix does the same for a whole grid of u in one walk of the
 tree, bit for bit as eval2 would at each point.  Parsing is total: any input
-yields an AST or a positioned error.
+yields an AST or a positioned error, and nesting deeper than MAX_DEPTH
+is such an error.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +73,8 @@ Expr = Num | Const | Var | Neg | Bin | Call
 
 
 def format_expr(e: Expr) -> str:
-    """Canonical fully parenthesized form; parse(format_expr(e)) == e."""
+    """Canonical fully parenthesized form; parse(format_expr(e)) == e
+    while that form nests no deeper than MAX_DEPTH."""
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Const):
@@ -117,11 +123,23 @@ def _tokenize(text: str):
     return tokens
 
 
+# The parser spends up to 5 frames per level of nesting (sum, term,
+# unary, power and atom for each parenthesis); evaluation, _walk_many
+# and format_expr spend 1 per tree level, and the nodes' repr, == and
+# hash up to 3.  160 levels is at most 800 frames, which leaves a fifth
+# of Python's default recursion limit of 1000 to the caller.
+MAX_DEPTH = 160
+
+
 class _Parser:
+    """Recursive descent.  Each parse_* method returns (node, height),
+    height being the longest chain of operators below the node."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # levels of nesting around the next parse_unary
 
     def peek(self):
         return self.tokens[self.i]
@@ -142,50 +160,72 @@ class _Parser:
             self.fail((kind,))
         return self.take()
 
+    def check_depth(self, levels, pos):
+        if levels > MAX_DEPTH:
+            raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels",
+                                  _byte_offset(self.text, pos))
+
+    def operator(self, op, pos, left, right):
+        """The Bin node for the operator token at pos."""
+        height = max(left[1], right[1]) + 1
+        self.check_depth(height, pos)
+        return Bin(op, left[0], right[0]), height
+
     def parse_sum(self):
         node = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = Bin(op, node, self.parse_term())
+            op, _, pos = self.take()
+            node = self.operator(op, pos, node, self.parse_term())
         return node
 
     def parse_term(self):
         node = self.parse_unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            node = Bin(op, node, self.parse_unary())
+            op, _, pos = self.take()
+            node = self.operator(op, pos, node, self.parse_unary())
         return node
 
     def parse_unary(self):
+        # every nesting level, whether a parenthesis, a function call,
+        # a unary minus or an exponent, passes through here once
+        pos = self.peek()[2]
+        self.check_depth(self.depth, pos)
+        self.depth += 1
         if self.peek()[0] == "-":
             self.take()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+            arg, height = self.parse_unary()
+            self.check_depth(height + 1, pos)
+            node = Neg(arg), height + 1
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self):
         base = self.parse_atom()
         if self.peek()[0] == "^":
-            self.take()
+            pos = self.take()[2]
             # right-associative; exponent may itself be signed
-            return Bin("^", base, self.parse_unary())
+            return self.operator("^", pos, base, self.parse_unary())
         return base
 
     def parse_atom(self):
         kind, value, pos = self.peek()
         if kind == "num":
             self.take()
-            return Num(value)
+            return Num(value), 0
         if kind == "ident":
             self.take()
             if value == "u":
-                return Var()
+                return Var(), 0
             if value in _CONSTANTS:
-                return Const(value)
+                return Const(value), 0
             if value in _FUNCTIONS:
                 self.expect("(")
-                arg = self.parse_sum()
+                arg, height = self.parse_sum()
                 self.expect(")")
-                return Call(value, arg)
+                self.check_depth(height + 1, pos)
+                return Call(value, arg), height + 1
             raise UnknownIdentifier(value, _byte_offset(self.text, pos))
         if kind == "(":
             self.take()
@@ -196,22 +236,26 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse expression text; raises ExprSyntaxError / UnknownIdentifier."""
+    """Parse expression text; raises ExprSyntaxError / UnknownIdentifier.
+
+    Nesting and tree height are bounded by MAX_DEPTH, so that neither
+    parsing nor any later walk of the tree exhausts the recursion limit.
+    """
     if not isinstance(text, str):
         raise InvalidParameter("expression source must be a string")
     p = _Parser(text)
-    node = p.parse_sum()
+    node, _ = p.parse_sum()
     if p.peek()[0] != "end":
         p.fail(("end of input",))
     return node
 
 
-@dataclass(frozen=True)
-class Dual2:
+class Dual2(NamedTuple):
     """Value with first and second derivative; immutable and shareable.
 
     The fields may also be equal-length numpy arrays, one entry per
-    point: every operator below then works elementwise.
+    point: every operator below then works elementwise.  These
+    operators are the one home of the sum, product and quotient rules.
     """
 
     value: float
@@ -284,86 +328,145 @@ def _dual_pow_const(a: Dual2, c: float, u: float, e: Bin) -> Dual2:
     return _chain(a, f, df, d2f)
 
 
-def _eval_node(e: Expr, seed: Dual2, u: float) -> Dual2:
-    if isinstance(e, Num):
-        return Dual2(e.value, 0.0, 0.0)
-    if isinstance(e, Const):
-        return Dual2(_CONSTANTS[e.name], 0.0, 0.0)
+def _compile_node(e: Expr):
+    """Node e as a closure f(seed, u) -> Dual2 that does eval2's work at
+    e: the node type and operator are resolved here, once, and every
+    call makes the same operations and domain checks in the same order.
+    """
     if isinstance(e, Var):
-        return seed
+        return lambda seed, u: seed
+    if isinstance(e, (Num, Const)):
+        d = Dual2(e.value if isinstance(e, Num) else _CONSTANTS[e.name],
+                  0.0, 0.0)
+        return lambda seed, u: d
     if isinstance(e, Neg):
-        return -_eval_node(e.arg, seed, u)
+        arg = _compile_node(e.arg)
+        return lambda seed, u: -arg(seed, u)
     if isinstance(e, Bin):
-        a = _eval_node(e.left, seed, u)
-        b = _eval_node(e.right, seed, u)
-        try:
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                if b.value == 0.0:
-                    raise _domain_error(u, e, "division by zero")
-                return a / b
-            if e.op == "^":
-                if b.d1 == 0.0 and b.d2 == 0.0:
-                    return _dual_pow_const(a, b.value, u, e)
-                if a.value <= 0.0:
-                    raise _domain_error(
-                        u, e, "variable exponent needs positive base")
-                ln_a = _chain(a, math.log(a.value), 1.0 / a.value,
-                              -1.0 / (a.value * a.value))
-                prod = b * ln_a
-                f = math.exp(prod.value)
-                return _chain(prod, f, f, f)
-        except (OverflowError, ZeroDivisionError):
-            # a derivative denominator such as v*v underflowing to 0
-            # means that derivative overflows
-            raise _domain_error(u, e, "overflow") from None
-        raise InvalidParameter(f"unknown operator {e.op!r}")
+        rule = _bin_rule(e)
+        left, right = _compile_node(e.left), _compile_node(e.right)
+
+        def binary(seed, u):
+            a = left(seed, u)
+            b = right(seed, u)
+            try:
+                return rule(u, a, b)
+            except (OverflowError, ZeroDivisionError):
+                # a derivative denominator such as v*v underflowing to 0
+                # means that derivative overflows
+                raise _domain_error(u, e, "overflow") from None
+        return binary
     if isinstance(e, Call):
-        a = _eval_node(e.arg, seed, u)
-        v = a.value
-        try:
-            if e.fn == "ln":
-                if v <= 0.0:
-                    raise _domain_error(u, e, "log of non-positive value")
-                return _chain(a, math.log(v), 1.0 / v, -1.0 / (v * v))
-            if e.fn == "exp":
-                f = math.exp(v)
-                return _chain(a, f, f, f)
-            if e.fn == "sqrt":
-                if v < 0.0:
-                    raise _domain_error(u, e, "sqrt of negative value")
-                if v == 0.0:
-                    if a.d1 == 0.0 and a.d2 == 0.0:
-                        return Dual2(0.0, 0.0, 0.0)
-                    raise _domain_error(u, e,
-                                        "derivative unbounded at sqrt(0)")
-                r = math.sqrt(v)
-                return _chain(a, r, 0.5 / r, -0.25 / (v * r))
-            if e.fn == "abs":
-                s = 0.0 if v == 0.0 else math.copysign(1.0, v)
-                # derivative at the kink is defined as 0
-                return _chain(a, abs(v), s, 0.0)
-        except (OverflowError, ZeroDivisionError):
-            raise _domain_error(u, e, "overflow") from None
+        rule, arg = _call_rule(e), _compile_node(e.arg)
+
+        def call(seed, u):
+            a = arg(seed, u)
+            try:
+                return rule(u, a)
+            except (OverflowError, ZeroDivisionError):
+                raise _domain_error(u, e, "overflow") from None
+        return call
+
+    def not_a_node(seed, u):
+        raise InvalidParameter(f"not an expression node: {e!r}")
+    return not_a_node
+
+
+def _bin_rule(e: Bin):
+    """Bin node e's arithmetic as rule(u, a, b) on its operands' values."""
+    if e.op == "+":
+        return lambda u, a, b: a + b
+    if e.op == "-":
+        return lambda u, a, b: a - b
+    if e.op == "*":
+        return lambda u, a, b: a * b
+    if e.op == "/":
+        def divide(u, a, b):
+            if b.value == 0.0:
+                raise _domain_error(u, e, "division by zero")
+            return a / b
+        return divide
+    if e.op == "^":
+        def power(u, a, b):
+            if b.d1 == 0.0 and b.d2 == 0.0:
+                return _dual_pow_const(a, b.value, u, e)
+            if a.value <= 0.0:
+                raise _domain_error(
+                    u, e, "variable exponent needs positive base")
+            ln_a = _chain(a, math.log(a.value), 1.0 / a.value,
+                          -1.0 / (a.value * a.value))
+            prod = b * ln_a
+            f = math.exp(prod.value)
+            return _chain(prod, f, f, f)
+        return power
+
+    def unknown(u, a, b):
+        raise InvalidParameter(f"unknown operator {e.op!r}")
+    return unknown
+
+
+def _call_rule(e: Call):
+    """Call node e's arithmetic as rule(u, a) on its argument's value."""
+    if e.fn == "ln":
+        def ln(u, a):
+            v = a.value
+            if v <= 0.0:
+                raise _domain_error(u, e, "log of non-positive value")
+            return _chain(a, math.log(v), 1.0 / v, -1.0 / (v * v))
+        return ln
+    if e.fn == "exp":
+        def exp(u, a):
+            f = math.exp(a.value)
+            return _chain(a, f, f, f)
+        return exp
+    if e.fn == "sqrt":
+        def sqrt(u, a):
+            v = a.value
+            if v < 0.0:
+                raise _domain_error(u, e, "sqrt of negative value")
+            if v == 0.0:
+                if a.d1 == 0.0 and a.d2 == 0.0:
+                    return Dual2(0.0, 0.0, 0.0)
+                raise _domain_error(u, e, "derivative unbounded at sqrt(0)")
+            r = math.sqrt(v)
+            return _chain(a, r, 0.5 / r, -0.25 / (v * r))
+        return sqrt
+    if e.fn == "abs":
+        def abs_(u, a):
+            v = a.value
+            s = 0.0 if v == 0.0 else math.copysign(1.0, v)
+            # derivative at the kink is defined as 0
+            return _chain(a, abs(v), s, 0.0)
+        return abs_
+
+    def unknown(u, a):
         raise UnknownIdentifier(e.fn, 0)
-    raise InvalidParameter(f"not an expression node: {e!r}")
+    return unknown
 
 
-def eval2(e: Expr, u: float) -> Dual2:
-    """Evaluate e and its first two u-derivatives at a finite u."""
+def compile2(e: Expr):
+    """e compiled once into a function of a finite float u that returns
+    eval2(e, u); pass it to eval2 in place of e."""
+    node = _compile_node(e)
+
+    def law(u: float) -> Dual2:
+        out = node(Dual2(u, 1.0, 0.0), u)
+        if not (math.isfinite(out.value) and math.isfinite(out.d1)
+                and math.isfinite(out.d2)):
+            raise _domain_error(u, e, "non-finite result")
+        return out
+    return law
+
+
+def eval2(e, u: float) -> Dual2:
+    """Evaluate e and its first two u-derivatives at a finite u.
+
+    e is an expression or its compile2 form.
+    """
     u = float(u)
     if not math.isfinite(u):
         raise InvalidParameter(f"u must be finite, got {u!r}")
-    out = _eval_node(e, Dual2(u, 1.0, 0.0), u)
-    if not (math.isfinite(out.value) and math.isfinite(out.d1)
-            and math.isfinite(out.d2)):
-        raise _domain_error(u, e, "non-finite result")
-    return out
+    return (e if callable(e) else compile2(e))(u)
 
 
 def _each(fn, bad, *columns):
@@ -406,7 +509,7 @@ def _pow_many(a: Dual2, b: Dual2, bad) -> Dual2:
 
 
 def _walk_many(e: Expr, seed: Dual2, bad) -> Dual2:
-    """_eval_node on a whole grid, with Dual2 arrays as values.
+    """eval2's arithmetic on a whole grid, with Dual2 arrays as values.
 
     Sets bad at every point where eval2 raises or might raise, and
     wherever an operation here could round differently from it.
@@ -455,7 +558,7 @@ def _walk_many(e: Expr, seed: Dual2, bad) -> Dual2:
     return Dual2(nan, nan, nan)
 
 
-def eval_prefix(e: Expr, us) -> tuple[Dual2, DomainError | None]:
+def eval_prefix(e: Expr, us, law=None) -> tuple[Dual2, DomainError | None]:
     """eval2 at every u of a 1-D grid, in one walk of the tree.
 
     Returns Dual2 arrays over the longest prefix of us at which eval2
@@ -463,7 +566,8 @@ def eval_prefix(e: Expr, us) -> tuple[Dual2, DomainError | None]:
     (None when every point evaluates); other errors propagate from
     the first point that raises them.  Every value is bit-identical to
     eval2's: the points where the walk meets a domain condition, a
-    failing scalar call or a non-finite value are evaluated by eval2.
+    failing scalar call or a non-finite value are evaluated by eval2,
+    with law, e's compile2 form, built once if the caller has none.
     """
     us = np.array(us, dtype=float)
     bad = ~np.isfinite(us)
@@ -474,8 +578,9 @@ def eval_prefix(e: Expr, us) -> tuple[Dual2, DomainError | None]:
                      for x in (out.value, out.d1, out.d2))
     bad |= ~(np.isfinite(value) & np.isfinite(d1) & np.isfinite(d2))
     for i in np.flatnonzero(bad).tolist():
+        law = law or compile2(e)
         try:
-            d = eval2(e, us[i])
+            d = eval2(law, us[i])
         except DomainError as err:
             return Dual2(value[:i], d1[:i], d2[:i]), err
         value[i], d1[i], d2[i] = d.value, d.d1, d.d2

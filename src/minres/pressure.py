@@ -18,7 +18,7 @@ the conditions their own algorithms need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,17 @@ class PressureModel:
     scale: float = 1.0
     offset: float = 0.0
     expr: Expr | None = None
+    # expr compiled once for eval2; derived from expr, so left out of
+    # ==, hash and repr
+    law: object = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == "expr":
+            object.__setattr__(self, "law", exprlang.compile2(self.expr))
+
+    def __reduce__(self):
+        # closures do not pickle; the copy compiles expr again
+        return PressureModel, (self.kind, self.scale, self.offset, self.expr)
 
     @property
     def is_zero(self) -> bool:
@@ -44,7 +55,7 @@ class PressureModel:
             return self.scale / (1.0 + u * u) + self.offset
         if self.kind == "zero":
             return 0.0
-        return exprlang.eval2(self.expr, u).value
+        return exprlang.eval2(self.law, u).value
 
     def dp(self, u: float) -> float:
         if self.kind == "newton":
@@ -52,7 +63,7 @@ class PressureModel:
             return -2.0 * self.scale * u / (s * s)
         if self.kind == "zero":
             return 0.0
-        return exprlang.eval2(self.expr, u).d1
+        return exprlang.eval2(self.law, u).d1
 
     def d2p(self, u: float) -> float:
         if self.kind == "newton":
@@ -60,12 +71,12 @@ class PressureModel:
             return self.scale * (6.0 * u * u - 2.0) / (s * s * s)
         if self.kind == "zero":
             return 0.0
-        return exprlang.eval2(self.expr, u).d2
+        return exprlang.eval2(self.law, u).d2
 
     def eval(self, u: float) -> tuple[float, float, float]:
         """(p, p', p'') in one pass."""
         if self.kind == "expr":
-            d = exprlang.eval2(self.expr, u)
+            d = exprlang.eval2(self.law, u)
             return d.value, d.d1, d.d2
         return self.p(u), self.dp(u), self.d2p(u)
 
@@ -82,7 +93,7 @@ class PressureModel:
         """
         us = np.asarray(us, dtype=float)
         if self.kind == "expr":
-            d, err = exprlang.eval_prefix(self.expr, us)
+            d, err = exprlang.eval_prefix(self.expr, us, self.law)
             return d.value, d.d1, d.d2, err
         if self.kind == "zero":
             return (np.zeros(us.size), np.zeros(us.size), np.zeros(us.size),

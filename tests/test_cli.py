@@ -11,6 +11,7 @@ import pytest
 
 import minres.cli as cli
 from minres.errors import NoConvergence
+from minres.exprlang import MAX_DEPTH
 
 PAIR = ["--p-plus", "1/(1+u^2)+0.5", "--p-minus", "0.5/(1+u^2)-0.5"]
 PARALLEL = ["--p-plus", "newton:1,0", "--p-minus", "zero"]
@@ -142,6 +143,34 @@ def test_exit_2_on_bad_expression(capsys):
     assert payload["error"] == "ExprSyntaxError"
     assert payload["offset"] == 2
     assert "\n" not in err
+
+
+@pytest.mark.parametrize("law, offset", [
+    ("(" * 300 + "1/(1+u^2)" + ")" * 300, MAX_DEPTH + 1),
+    ("1/(1+u^2)" + "+0*u" * 1500, 9 + 4 * (MAX_DEPTH - 3)),
+    ("-" * 1500 + "1/(1+u^2)", MAX_DEPTH + 1),
+])
+def test_exit_2_on_too_deep_expression(capsys, law, offset):
+    rc = run(["solve", "--dim", "2", "--T", "1", "--H", "1",
+              f"--p-plus={law}", "--p-minus", "zero"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "ExprSyntaxError"
+    assert payload["offset"] == offset
+
+
+@pytest.mark.parametrize("law", [
+    "(" * (MAX_DEPTH - 2) + "1/(1+u^2)" + ")" * (MAX_DEPTH - 2),
+    "1/(1+u^2)" + "+0*u" * (MAX_DEPTH - 3),
+    "-" * (MAX_DEPTH - 2) + "1/(1+u^2)+0*u",
+])
+def test_law_at_the_nesting_bound_solves(capsys, law):
+    rc = run(["solve", "--dim", "2", "--T", "1", "--H", "1",
+              f"--p-plus={law}", "--p-minus", "zero"])
+    assert rc == 0
+    assert "R_total=" in capsys.readouterr().out
 
 
 def test_exit_2_on_zero_front(capsys):

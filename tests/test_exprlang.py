@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from minres.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from minres.exprlang import (_CONSTANTS, _FUNCTIONS, Bin, Call, Const, Dual2,
-                             Neg, Num, Var, eval2, eval_prefix, format_expr,
-                             parse)
+from minres.exprlang import (_CONSTANTS, _FUNCTIONS, MAX_DEPTH, Bin, Call,
+                             Const, Dual2, Neg, Num, Var, eval2, eval_prefix,
+                             format_expr, parse)
 
 
 def _trees(numbers, binary, max_leaves):
@@ -128,6 +128,43 @@ def test_utf8_byte_offset():
     with pytest.raises(ExprSyntaxError) as err2:
         parse("éé+1")  # bad char at byte 0; next one would be 2
     assert err2.value.offset == 0
+
+
+# nesting bound: the deepest input of each shape parses, one level more
+# is an ExprSyntaxError at the token that opens it
+
+LAW = "1/(1+u^2)"  # height 3; its exponent sits two levels deep
+
+
+def parens(k):
+    return "(" * k + LAW + ")" * k
+
+
+def long_sum(n):
+    return LAW + "+0*u" * n
+
+
+def minus_signs(k):
+    return "-" * k + "u"
+
+
+@pytest.mark.parametrize("shape, at_bound, beyond_offset", [
+    (parens, MAX_DEPTH - 2, MAX_DEPTH + 6),  # the exponent 2
+    (long_sum, MAX_DEPTH - 3, len(long_sum(MAX_DEPTH - 3))),  # the last +
+    (minus_signs, MAX_DEPTH, MAX_DEPTH + 1),  # the u
+])
+def test_nesting_bound(shape, at_bound, beyond_offset):
+    e = parse(shape(at_bound))
+    d = eval2(e, 0.5)
+    grid, failure = eval_prefix(e, [0.0, 0.5])
+    assert failure is None and float(grid.value[1]) == d.value
+    assert parse(shape(at_bound)) == e
+    assert hash(parse(shape(at_bound))) == hash(e)
+    assert format_expr(e) and repr(e)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(shape(at_bound + 1))
+    assert err.value.offset == beyond_offset
+    assert f"nested deeper than {MAX_DEPTH} levels" in str(err.value)
 
 
 # frozen dual values

@@ -1,10 +1,12 @@
 """Pressure models: construction, evaluation, admissibility validation."""
 
+import pickle
 import random
 
 import numpy as np
 import pytest
 
+import minres.exprlang as exprlang
 from minres.errors import DomainError, InvalidParameter
 from minres.pressure import (PressureModel, make_builtin, make_expr,
                              make_zero, validate)
@@ -132,7 +134,34 @@ def test_monotone_shape_of_derivative():
         assert m.dp(b) > m.dp(a)
 
 
+def test_models_pickle():
+    for model in (make_expr("1/(1+u^2)+0.5"), make_builtin(2.0, 0.5),
+                  make_zero()):
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model and copy.describe() == model.describe()
+        assert copy.eval(0.7) == model.eval(0.7)
+
+
 def test_model_is_frozen():
     m = make_builtin(1.0, 0.0)
     with pytest.raises(AttributeError):
         m.scale = 2.0
+
+
+def test_each_scalar_evaluation_is_one_eval2_call(monkeypatch):
+    """Scalar law evaluations go through exprlang.eval2 once each, so a
+    counter on that one name sees every one of them."""
+    calls = []
+    real = exprlang.eval2
+
+    def counting(e, u):
+        calls.append(u)
+        return real(e, u)
+
+    monkeypatch.setattr(exprlang, "eval2", counting)
+    for model, per_call in ((make_expr("1/(1+u^2)"), 1),
+                            (make_builtin(1.0, 0.5), 0), (make_zero(), 0)):
+        for method in (model.p, model.dp, model.d2p, model.eval):
+            calls.clear()
+            method(0.5)
+            assert len(calls) == per_call, (model.describe(), method)

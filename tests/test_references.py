@@ -327,6 +327,33 @@ def test_eval2_matches_eager_reference(e, u):
     assert _outcome(eval2, e, u) == _outcome(ref_eval2, e, u)
 
 
+def _hex_or_error(evaluate, u):
+    """float.hex of each value returned, as a list, or the error raised."""
+    try:
+        out = evaluate(u)
+    except (DomainError, ArithmeticError) as err:
+        return _error(err)
+    return [float.hex(x) for x in out]
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=exprs, u=slopes)
+def test_expression_model_matches_eager_reference(e, u):
+    """make_expr compiles its law once; every scalar evaluation of the
+    model is still eval2's, bit for bit and error for error."""
+    model = make_expr(e)
+    expected = _hex_or_error(lambda u: ref_eval2(e, u), u)
+    assert _hex_or_error(model.eval, u) == expected
+    for k, method in enumerate((model.p, model.dp, model.d2p)):
+        got = _hex_or_error(lambda u: [method(u)], u)
+        assert got == (expected[k:k + 1] if isinstance(expected, list)
+                       else expected)
+    text = format_expr(e)
+    assert model.describe() == text
+    assert make_expr(text) == make_expr(text) == model
+    assert hash(make_expr(text)) == hash(make_expr(text)) == hash(model)
+
+
 def test_eval2_does_not_format_on_success(monkeypatch):
     def refuse(e):
         raise AssertionError(f"format_expr({e!r}) on the evaluation path")
