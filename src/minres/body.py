@@ -99,7 +99,7 @@ class Profile:
     T: float
     segments: tuple
     beta: float
-    _starts: tuple = field(default=(), repr=False, compare=False)
+    _starts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:

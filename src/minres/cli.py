@@ -181,11 +181,14 @@ def _profile_from_csv(path: str, T: float, column: str) -> Profile:
                 continue
             cells = line.split(",")
             try:
-                pts.append((float(cells[t_i]), float(cells[x_i])))
+                t, x = float(cells[t_i]), float(cells[x_i])
             except (ValueError, IndexError):
+                t = x = math.nan
+            if not (math.isfinite(t) and math.isfinite(x)):
                 raise InvalidParameter(
-                    f"CSV line {line_no} needs numeric t and {column} "
-                    f"cells, got {line!r}") from None
+                    f"CSV line {line_no} needs finite numeric t and {column} "
+                    f"cells, got {line!r}")
+            pts.append((t, x))
     if len(pts) < 2:
         raise InvalidParameter(f"CSV column {column} needs at least 2 rows")
     pts.sort()

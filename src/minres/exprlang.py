@@ -72,22 +72,36 @@ class Call:
 Expr = Num | Const | Var | Neg | Bin | Call
 
 
+# binding levels: 1 sum, 2 term, 3 unary or power, 4 atom; per binary
+# operator, its own level and the levels its left and right operands need
+_BIN_LEVELS = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3),
+               "/": (2, 2, 3), "^": (3, 4, 3)}
+
+
 def format_expr(e: Expr) -> str:
-    """Canonical fully parenthesized form; parse(format_expr(e)) == e
-    while that form nests no deeper than MAX_DEPTH."""
+    """Source text with only the parentheses that precedence needs, so
+    that parse(format_expr(e)) == e for every tree that parse returns."""
+    return _format(e, 1)
+
+
+def _format(e: Expr, need: int) -> str:
+    """e's text, parenthesized if it binds looser than level need."""
     if isinstance(e, Num):
-        return repr(e.value)
+        return "1e999" if e.value == math.inf else repr(e.value)
     if isinstance(e, Const):
         return e.name
     if isinstance(e, Var):
         return "u"
-    if isinstance(e, Neg):
-        return f"(-{format_expr(e.arg)})"
-    if isinstance(e, Bin):
-        return f"({format_expr(e.left)}{e.op}{format_expr(e.right)})"
     if isinstance(e, Call):
-        return f"{e.fn}({format_expr(e.arg)})"
-    raise InvalidParameter(f"not an expression node: {e!r}")
+        return f"{e.fn}({_format(e.arg, 1)})"
+    if isinstance(e, Neg):
+        level, text = 3, "-" + _format(e.arg, 3)
+    elif isinstance(e, Bin):
+        level, left, right = _BIN_LEVELS[e.op]
+        text = f"{_format(e.left, left)}{e.op}{_format(e.right, right)}"
+    else:
+        raise InvalidParameter(f"not an expression node: {e!r}")
+    return text if level >= need else f"({text})"
 
 
 _TOKEN_RE = re.compile(r"""

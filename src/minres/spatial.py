@@ -69,27 +69,13 @@ class GTable:
                                        tol=_G_TOL)
 
     def g_many(self, us) -> np.ndarray:
-        """g at an ascending slope grid, integrating increments once each."""
-        us = np.asarray(us, dtype=float)
-        out = np.empty(us.shape)
-        prev_u: float | None = None
-        prev_g = 0.0
-        for i, u in enumerate(us):
-            u = float(u)
-            if prev_u is not None and u < prev_u:
-                raise InvalidParameter("slope grid must be ascending")
-            if u <= self.cv.u0:
-                out[i] = u / self.cv.B ** self.omega
-            else:
-                if prev_u is None or prev_u <= self.cv.u0:
-                    prev_u = self.cv.u0
-                    prev_g = self.cv.u0 / self.cv.B ** self.omega
-                prev_g += adaptive_simpson(self._integrand, prev_u, u,
-                                           tol=1e-12)
-                out[i] = prev_g
-                prev_u = u
-                continue
-            prev_u, prev_g = u, out[i]
+        """g on an ascending slope grid that starts at u0, one panel a step."""
+        us = us.tolist()
+        out = np.empty(len(us))
+        out[0] = self.cv.u0 / self.cv.B ** self.omega
+        for i in range(1, len(us)):
+            out[i] = out[i - 1] + adaptive_simpson(
+                self._integrand, us[i - 1], us[i], tol=1e-12)
         return out
 
     def b(self, U: float) -> float:
@@ -161,11 +147,7 @@ def extremal_from_U(gt: GTable, U: float, T: float,
     t0 = (lam / cv.B) ** omega
     lam_om = lam ** omega
 
-    # dense near u0 where t(u) moves fastest
-    span = U - cv.u0
-    offsets = np.geomspace(span * 1e-8, span, n_samples - 1)
-    us = np.concatenate(([cv.u0], cv.u0 + offsets))
-    us[-1] = U
+    us = np.linspace(cv.u0, U, n_samples)
     gs = gt.g_many(us)
     _, dps, _, err = gt.model.eval_prefix(us[1:])
     pts = [(float(cv.u0), t0, 0.0)]

@@ -217,6 +217,8 @@ def test_exit_2_on_too_few_samples(tmp_path, capsys, dim, samples):
 @pytest.mark.parametrize("row, line_no", [
     ("0.5,abc,0.0,,", 3),  # non-numeric cell
     ("0.5", 3),            # short row
+    ("0.5,inf,0.0,,", 3),  # non-finite cell
+    ("nan,0.5,0.0,,", 3),  # non-finite t
 ])
 def test_verify_check_profile_rejects_malformed_row(tmp_path, capsys, row,
                                                     line_no):
@@ -233,6 +235,26 @@ def test_verify_check_profile_rejects_malformed_row(tmp_path, capsys, row,
     payload = json.loads(err)
     assert payload["error"] == "InvalidParameter"
     assert f"line {line_no}" in payload["message"]
+
+
+def test_verify_check_profile_rejects_non_finite_cells(tmp_path, capsys):
+    """A NaN profile is refused, not certified: NaN compares false in the
+    rise check, and the maximality oracle skips NaN violations."""
+    path = tmp_path / "nan.csv"
+    path.write_text("t,x_front,x_rear,u_front,u_rear\n"
+                    + "".join(f"{2.0 * k / 8!r},nan,0.0,,\n"
+                              for k in range(9)))
+    rc = run(["verify", "--dim", "2", "--T", "2", "--H", "4",
+              "--p-plus", "newton:1,0.5", "--p-minus", "newton:0.5,-0.5",
+              "--check-profile", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "\n" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidParameter"
+    assert "line 2" in payload["message"]
 
 
 def test_exit_3_on_solver_nonconvergence(capsys, monkeypatch):
@@ -292,7 +314,7 @@ def test_error_line_on_derivative_underflow(capsys):
     payload = json.loads(lines[0])
     assert payload["error"] == "DomainError"
     assert payload["u"] == 0.0
-    assert payload["where"] == "ln((u+1e-200))"
+    assert payload["where"] == "ln(u+1e-200)"
 
 
 def test_error_line_on_nan_exponent(capsys):
@@ -307,7 +329,7 @@ def test_error_line_on_nan_exponent(capsys):
     payload = json.loads(lines[0])
     assert payload["error"] == "DomainError"
     assert payload["u"] == 0.0
-    assert payload["where"] == "((0.0-u)^(inf-inf))"
+    assert payload["where"] == "(0.0-u)^(1e999-1e999)"
     assert payload["message"].endswith("(zero base with NaN exponent)")
 
 

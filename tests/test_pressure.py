@@ -10,6 +10,7 @@ import minres.exprlang as exprlang
 from minres.errors import DomainError, InvalidParameter
 from minres.pressure import (PressureModel, make_builtin, make_expr,
                              make_zero, validate)
+from test_exprlang import DEEP_LAWS
 
 
 def test_builtin_matches_expr_law():
@@ -52,6 +53,13 @@ def test_describe_round_trips():
     again = make_expr(desc)
     assert again.p(1.3) == pytest.approx(make_builtin(1.0, 0.5).p(1.3),
                                          abs=1e-14)
+
+
+@pytest.mark.parametrize("text", DEEP_LAWS + ("1e999*u",))
+def test_describe_parses_back(text):
+    """Reports echo describe(); a law copied back from one parses to the
+    same tree."""
+    assert exprlang.parse(make_expr(text).describe()) == exprlang.parse(text)
 
 
 def test_invalid_builtin():
