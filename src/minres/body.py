@@ -10,6 +10,7 @@ surface carries, with beta_front + beta_rear = H.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -104,6 +105,12 @@ class Profile:
     def __post_init__(self):
         if not self.segments:
             raise InvalidParameter("profile needs at least one segment")
+        spans = [(seg.t_from, seg.t_to, seg.slope) if isinstance(seg, Linear)
+                 else itertools.chain(*seg.samples) for seg in self.segments]
+        if not all(map(math.isfinite,
+                       itertools.chain((self.T, self.beta), *spans))):
+            raise InvalidParameter("profile holds a non-finite T, beta, "
+                                   "segment end, slope or arc sample")
         cursor = 0.0
         x = 0.0
         starts = []
@@ -250,21 +257,24 @@ def flat_profile(T: float) -> Profile:
 class BodySolution:
     """A solved body: both profiles, their heights and multipliers.
 
-    beta_plus + beta_minus == H exactly.  For d >= 3 the heights the
-    profiles reach, front.beta and rear.beta, are the ends of their
-    sampled arcs.  The rear's is beta_minus, up to the one-ulp move of
-    split_height.  The front's differs from beta_plus by what the root
-    solves leave over.  U_plus solves b_plus(U) = H/T - b_minus(U_minus) to
-    the bracket width delta = 1e-12 + 4 eps U_plus, and g enters each
-    branch height as |p'(U)|^omega g(U) with g computed to 1e-11.  So,
-    with omega = 1/(d-2), b' = omega |p'|^(omega-1) p'' g and
-    eps = 2^-52:
+    beta_plus + beta_minus == H exactly; multipliers and resistances
+    are finite.  For d >= 3 the heights the profiles reach, front.beta
+    and rear.beta, are the ends of their sampled arcs.  The rear's is
+    beta_minus, up to the one-ulp move of split_height.  The front's
+    differs from beta_plus by T times what the root solves leave of the
+    height balance b_plus(U_plus) + b_minus(U_minus) = H/T, and g enters
+    each branch height as |p'(U)|^omega g(U) with g computed to 1e-11.
+    With a flat rear, U_plus solves b_plus(U) = H/T to the bracket width
+    delta = 1e-12 + 4 eps U_plus.  So, with omega = 1/(d-2),
+    b' = omega |p'|^(omega-1) p'' g and eps = 2^-52:
 
         |front.beta - beta_plus| <= T (b_plus'(U_plus) delta
             + 1e-11 (|p_plus'(U_plus)|^omega + |p_minus'(U_minus)|^omega))
             + 2 eps H,
 
-    where the p_minus term is dropped when the rear is flat.
+    where the p_minus term is dropped when the rear is flat.  A split's
+    last root is U_minus, on the balance itself; on both split rows of
+    the acceptance matrix it leaves at most 2.5e-15 against this bound.
     """
 
     spec: ProblemSpec
@@ -286,3 +296,8 @@ class BodySolution:
             raise InvalidParameter(
                 f"branch heights {self.beta_plus!r} + {self.beta_minus!r} "
                 f"do not sum to H={self.spec.H!r}")
+        for name in ("lambda_plus", "lambda_minus", "R_plus", "R_minus",
+                     "R_total"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameter(f"{name}={value!r} is not finite")

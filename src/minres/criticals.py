@@ -7,9 +7,12 @@ optimal profile uses slopes 0 or >= u0 only, so the effective law is
 the relaxed one: linear with slope -B up to u0, then p itself.
 
 For a pair: u_star is the front slope at which the front's marginal
-drop equals the rear's best drop rate (p_plus'(u_star) = -B_minus);
-above it the rear surface starts carrying height.  h_star (d >= 3) is
-the aspect ratio at which that transition happens.
+drop equals the rear's at its critical slope, p_plus'(u_star) =
+p_minus'(u0_minus), which is -B_minus up to the stationarity residual
+of u0_minus; above it the rear surface starts carrying height.  h_star
+= b_plus(u_star) (d >= 3) is the aspect ratio at which that transition
+happens: the d >= 3 split balance, evaluated at z_minus = u0_minus, is
+exactly h_star - h.
 """
 
 from __future__ import annotations
@@ -129,8 +132,8 @@ _ZERO_SENTINEL = CriticalValues(u_bar=0.0, u0=math.inf, B=0.0)
 class PairCriticals:
     plus: CriticalValues
     minus: CriticalValues
-    u_star: float  # +inf when the rear law is zero
-    h_star: float | None  # aspect threshold for a curved rear; d >= 3 only
+    u_star: float  # p_plus'(u_star) = p_minus'(u0_minus); +inf for a zero rear
+    h_star: float | None  # b_plus(u_star), the curved-rear threshold; d >= 3 only
 
 
 def pair_criticals(p_plus: PressureModel, p_minus: PressureModel,
@@ -172,8 +175,8 @@ def pair_criticals(p_plus: PressureModel, p_minus: PressureModel,
             if err is not None:
                 raise err
 
-    u_star = (math.inf if minus.B == 0.0
-              else slope_at_multiplier(p_plus, plus, minus.B))
+    u_star = (math.inf if minus.B == 0.0 else slope_at_multiplier(
+        p_plus, plus, -p_minus.dp(minus.u0)))
 
     h_star: float | None = None
     if d >= 3:
@@ -181,6 +184,5 @@ def pair_criticals(p_plus: PressureModel, p_minus: PressureModel,
             h_star = math.inf
         else:
             from .spatial import GTable  # deferred: spatial depends on this module
-            gt = GTable(p_plus, plus, d)
-            h_star = u_star - minus.B ** gt.omega * gt.g(u_star)
+            h_star = GTable(p_plus, plus, d).b(u_star)
     return PairCriticals(plus=plus, minus=minus, u_star=u_star, h_star=h_star)

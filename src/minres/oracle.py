@@ -115,10 +115,9 @@ def _analytic_branch_value(spec: ProblemSpec, model: PressureModel,
         return 0.0
     if d == 2:
         return factor * T * relaxed_p(model, cv, beta / T)
-    from .spatial import GTable, resistance_branch, solve_height_for_U
+    from .spatial import GTable, _invert_height, resistance_branch
     gt = GTable(model, cv, d)
-    ex = solve_height_for_U(gt, beta / T, T)
-    return factor * resistance_branch(gt, ex, T, d)
+    return factor * resistance_branch(gt, _invert_height(gt, beta / T), T)
 
 
 def brute_force(spec: ProblemSpec, branch: str, beta: float,

@@ -94,7 +94,7 @@ def solve2d(spec: ProblemSpec) -> BodySolution:
         beta_p, beta_m = split_height(H, T * pc.u_star)
         front = Profile(T=T, segments=(Linear(0.0, T, pc.u_star),), beta=beta_p)
         rear = _cap_then_slope(T, beta_m, pc.minus.u0)
-        lam_p = abs(pp.dp(pc.u_star))  # = B_minus by the u_star equation
+        lam_p = abs(pp.dp(pc.u_star))  # = -p_minus'(u0_minus) ~ B_minus
         lam_m = pc.minus.B
         U_p, U_m = pc.u_star, pc.minus.u0
     else:  # DOUBLE_TRIANGLE

@@ -19,7 +19,8 @@ and the branch resistance is T^{d-1} (p(U) + |p'(U)|^{1+omega} g(U)).
 For a two-sided body: the rear stays flat while h = H/T <= h_star;
 above h_star both branches share one multiplier, p_plus'(z_plus) =
 p_minus'(z_minus), and the split solves the single equation
-b_plus(z_plus(z_minus)) + b_minus(z_minus) = h in z_minus.
+b_plus(z_plus(z_minus)) + b_minus(z_minus) = h in z_minus, on a bracket
+grown from z_minus = u0_minus, where the balance is h_star - h < 0.
 """
 
 from __future__ import annotations
@@ -171,22 +172,17 @@ def solve_height_for_U(gt: GTable, h_branch: float, T: float = 1.0,
     if h_branch < 0.0 or not math.isfinite(h_branch):
         raise InvalidParameter(
             f"branch height must be nonnegative finite, got {h_branch}")
-    if h_branch == 0.0:
-        return extremal_from_U(gt, gt.cv.u0, T, n_samples)
-    U = _invert_height(gt, h_branch)
-    return extremal_from_U(gt, U, T, n_samples)
+    return extremal_from_U(gt, _invert_height(gt, h_branch), T, n_samples)
 
 
-def resistance_branch(gt: GTable, ex: SpatialExtremal, T: float,
-                      d: int) -> float:
-    """Resistance of a solved branch (no unit-ball factor)."""
-    if d != gt.d:
-        raise InvalidParameter(f"dimension mismatch: {d} vs table {gt.d}")
-    if ex.is_flat:
-        return T ** (d - 1) * gt.model.p(0.0)
-    ap = abs(gt.model.dp(ex.U))
-    return T ** (d - 1) * (gt.model.p(ex.U)
-                           + ap ** (1.0 + gt.omega) * gt.g(ex.U))
+def resistance_branch(gt: GTable, U: float, T: float) -> float:
+    """Resistance of the branch with terminal slope U (no unit-ball
+    factor); flat at and below u0."""
+    if U <= gt.cv.u0:
+        return T ** (gt.d - 1) * gt.model.p(0.0)
+    ap = abs(gt.model.dp(U))
+    return T ** (gt.d - 1) * (gt.model.p(U)
+                              + ap ** (1.0 + gt.omega) * gt.g(U))
 
 
 def _profile_from_extremal(ex: SpatialExtremal) -> Profile:
@@ -206,85 +202,64 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
     pc = pair_criticals(spec.p_plus, spec.p_minus, spec.d)
     T, H, d = spec.T, spec.H, spec.d
     h = H / T
-    factor = spec.resistance_factor
-    rear_zero = spec.p_minus.is_zero
     gt_plus = GTable(spec.p_plus, pc.plus, d)
-
-    if H == 0.0:
-        lam_flat = pc.plus.B * T ** (d - 2)
-        lam_m = None if rear_zero else pc.minus.B * T ** (d - 2)
-        R_p = factor * T ** (d - 1) * spec.p_plus.p(0.0)
-        R_m = 0.0 if rear_zero else factor * T ** (d - 1) * spec.p_minus.p(0.0)
-        return BodySolution(spec=spec, case_label=FLAT_DISK,
-                            front=flat_profile(T), rear=flat_profile(T),
-                            beta_plus=0.0, beta_minus=0.0,
-                            lambda_plus=lam_flat, lambda_minus=lam_m,
-                            R_plus=R_p, R_minus=R_m, R_total=R_p + R_m)
-
-    h_star = pc.h_star if pc.h_star is not None else math.inf
-    if h <= h_star:
+    gt_minus = GTable(spec.p_minus, pc.minus, d)
+    z_minus = None  # a flat rear
+    if h <= pc.h_star:
         # rear flat: the front carries the whole height
         try:
-            front_ex = solve_height_for_U(gt_plus, h, T, n_samples)
+            z_plus = _invert_height(gt_plus, h)
         except NoConvergence as err:
             raise NoConvergence(f"front height solve failed: {err}",
                                 bracket=err.bracket,
                                 residual=err.residual) from err
-        front = _profile_from_extremal(front_ex)
-        rear = flat_profile(T)
-        R_p = factor * resistance_branch(gt_plus, front_ex, T, d)
-        R_m = 0.0 if rear_zero else factor * T ** (d - 1) * spec.p_minus.p(0.0)
-        lam_m = None if rear_zero else pc.minus.B * T ** (d - 2)
-        return BodySolution(spec=spec, case_label=SPATIAL,
-                            front=front, rear=rear,
-                            beta_plus=H, beta_minus=0.0,
-                            lambda_plus=front_ex.lam, lambda_minus=lam_m,
-                            R_plus=R_p, R_minus=R_m, R_total=R_p + R_m,
-                            U_plus=front_ex.U,
-                            U_minus=None)
+    else:
+        # curved rear: both branches share one multiplier, so z_plus
+        # follows from z_minus without quadrature and the heights give
+        # one equation
+        def front_slope(z: float) -> float:
+            try:
+                return slope_at_multiplier(spec.p_plus, pc.plus,
+                                           -spec.p_minus.dp(z))
+            except NoConvergence as err:
+                raise NoConvergence(
+                    f"inner front slope solve failed at z_minus={z:g}: {err}",
+                    bracket=err.bracket, residual=err.residual) from err
 
-    # curved rear: both branches share one multiplier, so z_plus follows
-    # from z_minus without quadrature and the heights give one equation
-    gt_minus = GTable(spec.p_minus, pc.minus, d)
+        def split_balance(z: float) -> float:
+            # exactly h_star - h < 0 at u0_minus, where front_slope is
+            # u_star; rises to b_plus > 0 where b_minus = h
+            return gt_plus.b(front_slope(z)) + gt_minus.b(z) - h
 
-    def front_slope(z_minus: float) -> float:
-        try:
-            return slope_at_multiplier(spec.p_plus, pc.plus,
-                                       -spec.p_minus.dp(z_minus))
-        except NoConvergence as err:
-            raise NoConvergence(
-                f"inner front slope solve failed at z_minus={z_minus:g}: {err}",
-                bracket=err.bracket, residual=err.residual) from err
+        lo, hi = grow_bracket_upper(split_balance, pc.minus.u0,
+                                    max(pc.minus.u0, 1.0))
+        _check_curvature(gt_minus, hi)
+        z_minus = lo if lo == hi else bracket_root(split_balance, lo, hi)
+        z_plus = front_slope(z_minus)
+        _check_curvature(gt_plus, z_plus)
 
-    def split_balance(z_minus: float) -> float:
-        # rises from h_star - h < 0 at u0_minus to b_plus > 0 where b_minus = h
-        return gt_plus.b(front_slope(z_minus)) + gt_minus.b(z_minus) - h
-
-    lo = pc.minus.u0
+    # a zero rear comes out flat with p(0) = 0: its sentinel u0 is inf
+    factor = spec.resistance_factor
+    branches = []
     try:
-        hi = _invert_height(gt_minus, h)
-    except NoConvergence as err:
-        raise NoConvergence(f"outer rear height solve failed: {err}",
-                            bracket=err.bracket, residual=err.residual) from err
-    f_lo, f_hi = split_balance(lo), split_balance(hi)
-    if not (f_lo < 0.0 <= f_hi or f_lo == 0.0):
-        raise AssumptionViolated(
-            f"split balance has no sign change on [{lo:g}, {hi:g}]",
-            witness=(f_lo, f_hi))
-    z_minus = lo if f_lo == 0.0 else (
-        hi if f_hi == 0.0 else bracket_root(split_balance, lo, hi))
-    z_plus = front_slope(z_minus)
-    _check_curvature(gt_plus, z_plus)
-
-    rear_ex = extremal_from_U(gt_minus, z_minus, T, n_samples)
-    front_ex = extremal_from_U(gt_plus, z_plus, T, n_samples)
-    beta_m, beta_p = split_height(H, rear_ex.beta)
-    R_p = factor * resistance_branch(gt_plus, front_ex, T, d)
-    R_m = factor * resistance_branch(gt_minus, rear_ex, T, d)
-    return BodySolution(spec=spec, case_label=SPATIAL,
-                        front=_profile_from_extremal(front_ex),
-                        rear=_profile_from_extremal(rear_ex),
+        for gt, z in ((gt_plus, z_plus),
+                      (gt_minus, pc.minus.u0 if z_minus is None else z_minus)):
+            ex = extremal_from_U(gt, z, T, n_samples)
+            R = (factor * T ** (d - 1) * gt.model.p(0.0) if ex.is_flat
+                 else factor * resistance_branch(gt, ex.U, T))
+            branches.append((ex, R))
+    except OverflowError as err:
+        raise InvalidParameter(
+            f"T={T!r} is out of range: T**{d - 1} overflows") from err
+    (front, R_p), (rear, R_m) = branches
+    beta_m, beta_p = split_height(H, rear.beta)
+    return BodySolution(spec=spec,
+                        case_label=FLAT_DISK if H == 0.0 else SPATIAL,
+                        front=_profile_from_extremal(front),
+                        rear=_profile_from_extremal(rear),
                         beta_plus=beta_p, beta_minus=beta_m,
-                        lambda_plus=front_ex.lam, lambda_minus=rear_ex.lam,
+                        lambda_plus=front.lam,
+                        lambda_minus=None if spec.p_minus.is_zero else rear.lam,
                         R_plus=R_p, R_minus=R_m, R_total=R_p + R_m,
-                        U_plus=front_ex.U, U_minus=rear_ex.U)
+                        U_plus=None if H == 0.0 else front.U,
+                        U_minus=None if z_minus is None else rear.U)

@@ -229,8 +229,8 @@ def test_criterion_8_split_stationarity(solved_matrix):
         def total(beta_m):
             front = solve_height_for_U(gtp, H - beta_m, T)
             rear = solve_height_for_U(gtm, beta_m, T)
-            return (resistance_branch(gtp, front, T, d)
-                    + resistance_branch(gtm, rear, T, d))
+            return (resistance_branch(gtp, front.U, T)
+                    + resistance_branch(gtm, rear.U, T))
 
         base = total(sol.beta_minus)
         for eps in (-1e-3, 1e-3):

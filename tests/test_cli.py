@@ -257,6 +257,37 @@ def test_verify_check_profile_rejects_non_finite_cells(tmp_path, capsys):
     assert "line 2" in payload["message"]
 
 
+@pytest.mark.parametrize("dim, H", [(3, "0.6727414080023811"),
+                                    (4, "0.38906840887784805")])
+def test_solves_just_above_the_split_threshold(capsys, dim, H):
+    """One ulp above h_star as the rear's B fixes it: the split balance
+    is bracketed from u0 of the rear, so no sign-change check rejects
+    the body."""
+    rc = run(["solve", "--dim", str(dim), "--T", "1", "--H", H,
+              "--p-plus", "newton:1,0.5", "--p-minus", "newton:0.5,-0.5"])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert out.startswith("Spatial R_total=") and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dim", "3", "--T", "1e200", "--H", "1", "--p-plus", "newton:1,0",
+     "--p-minus", "zero"],
+    ["--dim", "2", "--T", "1e300", "--H", "1e300", "--p-plus",
+     "newton:1e300,0", "--p-minus", "zero"],
+])
+def test_exit_2_on_overflowing_resistance(tmp_path, capsys, argv):
+    """A resistance that overflows is an input error, not a traceback
+    and not an infinite value in the report (which is not valid JSON)."""
+    report = tmp_path / "r.json"
+    rc = run(["solve"] + argv + ["--out-report", str(report)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "InvalidParameter"
+    assert not report.exists()
+
+
 def test_exit_3_on_solver_nonconvergence(capsys, monkeypatch):
     def explode(spec, n_samples=256):
         raise NoConvergence("synthetic", bracket=(0.0, 1.0), residual=1.0)

@@ -1,5 +1,7 @@
 """Certification oracles: pointwise maximality, brute-force DP, quadrature."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,44 @@ def test_maximality_passes_on_solved_planar():
         rep_rear = check_maximality(spec, "rear", sol.rear,
                                     sol.lambda_minus)
         assert rep_rear.passed
+
+
+def test_profile_with_nan_slope_is_rejected():
+    """NaN compares false, so the tiling and maximality checks cannot
+    see it; the profile refuses it when built."""
+    spec = ProblemSpec(d=2, T=2.0, H=4.0, p_plus=make_builtin(1.0, 0.5),
+                       p_minus=make_builtin(0.5, -0.5))
+    with pytest.raises(InvalidParameter):
+        check_maximality(spec, "front",
+                         Profile(T=2.0, segments=(Linear(0.0, 2.0, math.nan),),
+                                 beta=4.0), 0.3)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(T=math.inf), dict(beta=math.nan),
+    dict(segments=(Linear(0.0, math.nan, 0.0),)),
+    dict(segments=(ParamArc(samples=((0.0, 0.0, 1.0), (0.5, math.nan, 1.5),
+                                      (1.0, 1.0, 2.0))),), beta=1.0),
+])
+def test_profile_rejects_non_finite_values(bad):
+    kwargs = dict(T=1.0, segments=(Linear(0.0, 1.0, 0.0),), beta=0.0)
+    kwargs.update(bad)
+    with pytest.raises(InvalidParameter):
+        Profile(**kwargs)
+
+
+def test_analytic_branch_value_samples_no_arc(monkeypatch):
+    """brute_force's analytic value inverts the height and integrates the
+    resistance directly; it builds no sampled arc."""
+    import minres.spatial as spatial
+    calls = []
+    real = spatial.extremal_from_U
+    monkeypatch.setattr(spatial, "extremal_from_U",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    spec = example_pair_spec(1.0, 0.8, d=3)
+    res = brute_force(spec, "front", 0.7, n_cells=20, n_heights=40)
+    assert res.analytic_value > 0.0
+    assert calls == []
 
 
 def test_maximality_passes_on_solved_spatial():

@@ -11,17 +11,23 @@ acceptance matrix:
   multiplier passes it too, and independent quadrature of each sampled
   branch agrees with its analytic resistance to 1e-8 relative;
 * in d = 3, 4, also under a newton:k*s,o2 rear with k < 1, the front
-  profile's height stays within BodySolution's bound of beta_plus.
+  profile's height stays within BodySolution's bound of beta_plus;
+* in d = 3, 4, a few ulps and up to 1e-9 relative above H = T h_star,
+  the body solves with beta_minus >= 0, and R_total moves from its
+  value at T h_star by no more than rounding plus the convexity bound
+  of R_total in H.
 
 The offset stays nonnegative, so p > 0 and R_total is bounded away from
 zero, which keeps the relative scaling error meaningful.
 """
 
+import math
+
 from hypothesis import example, given, settings, strategies as st
 
 from minres import check_maximality, resistance_quadrature, solve
 from minres.body import ProblemSpec
-from minres.criticals import critical_values
+from minres.criticals import critical_values, pair_criticals
 from minres.pressure import make_builtin, make_zero
 from minres.spatial import GTable
 
@@ -109,3 +115,28 @@ def test_front_height_within_documented_bound(d, s, o, T, h, k, o2):
     bound = T * (b_prime * delta + 1e-11 * g_terms) + 2.0 * _EPS * sol.spec.H
     assert abs(sol.front.beta - sol.beta_plus) <= bound
     assert abs(sol.rear.beta - sol.beta_minus) <= _EPS * sol.spec.H
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from((3, 4)), s=scales, o=offsets, T=radii,
+       k=st.floats(min_value=0.1, max_value=0.9), o2=offsets,
+       ulps=st.integers(min_value=0, max_value=12),
+       rel=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e-9)))
+@example(d=3, s=1.0, o=0.5, T=1.0, k=0.5, o2=-0.5, ulps=1, rel=0.0)
+@example(d=4, s=1.0, o=0.5, T=1.0, k=0.5, o2=-0.5, ulps=1, rel=0.0)
+def test_solves_just_above_the_split_threshold(d, s, o, T, k, o2, ulps, rel):
+    base = _pair_spec(d, s, o, T, 0.0, k, o2)
+    h_star = pair_criticals(base.p_plus, base.p_minus, d).h_star
+    H_star = T * h_star
+    H = H_star * (1.0 + rel)
+    for _ in range(ulps):
+        H = math.nextafter(H, math.inf)
+    at = solve(_pair_spec(d, s, o, T, H_star / T, k, o2))
+    sol = solve(_pair_spec(d, s, o, T, H / T, k, o2))
+    assert sol.beta_minus >= 0.0
+    # R_total is convex and nonincreasing in H, so between H_star and H
+    # it falls by at most (R(0) - R(H_star)) (H - H_star) / H_star
+    R0 = T ** (d - 1) * (base.p_plus.p(0.0) + base.p_minus.p(0.0))
+    slack = (R0 - at.R_total) * (H - H_star) / H_star
+    assert sol.R_total <= at.R_total + 1e-12 * abs(at.R_total)
+    assert at.R_total - sol.R_total <= 1e-12 * abs(at.R_total) + slack

@@ -101,14 +101,14 @@ def test_terminal_slope_discontinuity():
 def test_resistance_frozen_value_d3():
     gt = newton_gtable(3)
     ex = extremal_from_U(gt, 2.0, 1.0)
-    assert resistance_branch(gt, ex, 1.0, 3) == pytest.approx(R3_OF_2,
+    assert resistance_branch(gt, ex.U, 1.0) == pytest.approx(R3_OF_2,
                                                               rel=1e-10)
 
 
 def test_flat_body_resistance():
     gt = newton_gtable(3)
     ex = extremal_from_U(gt, 1.0, 1.0)  # U = u0: zero height, flat disk
-    assert resistance_branch(gt, ex, 1.0, 3) == pytest.approx(1.0, rel=1e-9)
+    assert resistance_branch(gt, ex.U, 1.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_extremal_samples_on_curve():
@@ -197,13 +197,27 @@ def test_split_is_locally_optimal():
     def total(beta_m):
         exp = solve_height_for_U(gtp, spec.H - beta_m, 1.0)
         exm = solve_height_for_U(gtm, beta_m, 1.0)
-        return (resistance_branch(gtp, exp, 1.0, 3)
-                + resistance_branch(gtm, exm, 1.0, 3))
+        return (resistance_branch(gtp, exp.U, 1.0)
+                + resistance_branch(gtm, exm.U, 1.0))
 
     base = total(sol.beta_minus)
     assert base == pytest.approx(sol.R_total, rel=1e-9)
     for eps in (-1e-3, 1e-3):
         assert total(sol.beta_minus + eps) >= base - 1e-9
+
+
+def test_split_does_not_invert_the_rear_height(monkeypatch):
+    """The split root is bracketed from u0 of the rear directly; no rear
+    height inversion runs to find its upper end."""
+    import minres.spatial as spatial
+    laws = []
+    real = spatial._invert_height
+    monkeypatch.setattr(spatial, "_invert_height",
+                        lambda gt, h: laws.append(gt.model) or real(gt, h))
+    spec = pair_spec(3, 1.0, 0.8)
+    sol = solve_spatial(spec)
+    assert sol.beta_minus > 0.0
+    assert not any(law is spec.p_minus for law in laws)
 
 
 def test_swapped_pair_rejected_spatially():
