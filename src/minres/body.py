@@ -49,6 +49,11 @@ class ProblemSpec:
         if not (isinstance(self.T, (int, float)) and math.isfinite(self.T)
                 and self.T > 0.0):
             raise InvalidParameter(f"T must be positive finite, got {self.T!r}")
+        try:  # every resistance carries the factor T**(d-1)
+            self.T ** (self.d - 1)
+        except OverflowError:
+            raise InvalidParameter(f"T={self.T!r} is out of range: "
+                                   f"T**{self.d - 1} overflows") from None
         if not (isinstance(self.H, (int, float)) and math.isfinite(self.H)
                 and self.H >= 0.0):
             raise InvalidParameter(

@@ -205,7 +205,16 @@ def _profile_from_csv(path: str, T: float, column: str) -> Profile:
         raise InvalidParameter(
             f"CSV profile must span [0, {T:g}], got "
             f"[{pts[0][0]:g}, {pts[-1][0]:g}]")
-    return Profile(T=T, segments=tuple(segments), beta=pts[-1][1] - pts[0][1])
+    (t0, x0), (_, xT) = pts[0], pts[-1]
+    if abs(x0) > 1e-6 * max(1.0, abs(xT - x0)):
+        raise _height_error(f"profile in {column} must start at x=0",
+                            {"t": t0, column: x0})
+    return Profile(T=T, segments=tuple(segments), beta=xT - x0)
+
+
+def _height_error(message: str, witness: dict) -> _CliError:
+    return _CliError({"error": "InvalidParameter", "message": message,
+                      "witness": witness}, _EXIT_INPUT)
 
 
 def cmd_verify(args) -> int:
@@ -219,6 +228,9 @@ def cmd_verify(args) -> int:
     if args.check_profile:
         front = _profile_from_csv(args.check_profile, spec.T, "x_front")
         rear = _profile_from_csv(args.check_profile, spec.T, "x_rear")
+        if abs(front.beta + rear.beta - spec.H) > 1e-6 * max(1.0, spec.H):
+            raise _height_error(f"profile heights miss H={spec.H!r}", {
+                "t": spec.T, "x_front": front.beta, "x_rear": rear.beta})
 
     oracle_block: dict = {"maximality": {}, "brute_force": {}}
     all_passed = True

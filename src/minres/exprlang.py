@@ -13,12 +13,16 @@ tighter than unary minus, so -u^2 means -(u^2)):
 eval2 returns the value together with the first and second derivative
 with respect to u, propagated through a second-order dual number.  It
 runs a compiled form: compile2 turns the tree, once, into closures that
-each do one node's arithmetic, and a caller that evaluates one law many
+each apply one node's rule, and a caller that evaluates one law many
 times (a PressureModel) keeps that form and passes it to eval2.
-eval_prefix does the same for a whole grid of u in one walk of the
-tree, bit for bit as eval2 would at each point.  Parsing is total: any input
-yields an AST or a positioned error, and nesting deeper than MAX_DEPTH
-is such an error.
+eval_prefix runs the same closures once over a whole grid of u, bit for
+bit as eval2 would at each point.  Each operator has one rule, its
+arithmetic and its domain predicates, written for float and array
+values alike; a policy decides what a predicate that holds does.  On a
+scalar it raises the DomainError or returns the special value; on a
+grid it defers the point to eval2.  Parsing is total: any input yields
+an AST or a positioned error, and nesting deeper than MAX_DEPTH is such
+an error.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -138,10 +143,11 @@ def _tokenize(text: str):
 
 
 # The parser spends up to 5 frames per level of nesting (sum, term,
-# unary, power and atom for each parenthesis); evaluation, _walk_many
-# and format_expr spend 1 per tree level, and the nodes' repr, == and
-# hash up to 3.  160 levels is at most 800 frames, which leaves a fifth
-# of Python's default recursion limit of 1000 to the caller.
+# unary, power and atom for each parenthesis); compile2, evaluation on
+# a scalar or a grid and format_expr spend 1 per tree level, and the
+# nodes' repr, == and hash up to 3.  160 levels is at most 800 frames,
+# which leaves a fifth of Python's default recursion limit of 1000 to
+# the caller.
 MAX_DEPTH = 160
 
 
@@ -305,36 +311,86 @@ def _chain(a: Dual2, f: float, df: float, d2f: float) -> Dual2:
     return Dual2(f, df * a.d1, d2f * a.d1 * a.d1 + df * a.d2)
 
 
-def _domain_error(u: float, e: Expr, reason: str) -> DomainError:
+def _domain_error(u, e: Expr, reason: str) -> DomainError:
     """The error for node e at u; e is formatted only when one is raised."""
     return DomainError(u, format_expr(e), reason)
 
 
-def _dual_pow_const(a: Dual2, c: float, u: float, e: Bin) -> Dual2:
+class _Fail(Exception):
+    """A rule's scalar branch rejects its operands, for the reason in
+    args[0]; the node raises it as a DomainError with its text and u."""
+
+
+# what a rule raises on a scalar: a _Fail, or the ZeroDivisionError of
+# a derivative denominator such as v*v underflowing to 0, or an
+# OverflowError, both meaning that a value or derivative overflows
+_RAISES = (_Fail, OverflowError, ZeroDivisionError)
+
+
+def _node_error(u, e: Expr, err: Exception) -> DomainError:
+    reason = err.args[0] if isinstance(err, _Fail) else "overflow"
+    return _domain_error(u, e, reason)
+
+
+# The rules: each operator's arithmetic on Dual2 values of floats or of
+# arrays, and its domain predicates.  A predicate goes through the
+# policy p.  On a scalar, p.defer(cond) returns cond, and a cond that
+# holds takes the scalar branch below it, which raises or returns a
+# special value; on a grid it marks the points where cond holds for
+# eval2 and returns False.  p.split(cond) chooses between two branches
+# that both run on a grid, where it holds only if cond holds everywhere.
+#
+# v*v and v*r, which underflow to 0 for tiny v, divide only the factor
+# of a second derivative.  The inf or nan that a grid gets there enters
+# every later d2 as a term of a sum of products, where it stays inf or
+# nan (0 * inf is nan), and the final finite check hands the point to
+# eval2.
+
+def _divide(a: Dual2, b: Dual2, p) -> Dual2:
+    if p.defer(b.value == 0.0):
+        raise _Fail("division by zero")
+    return a / b
+
+
+def _power(a: Dual2, b: Dual2, p) -> Dual2:
+    if p.split((b.d1 == 0.0) & (b.d2 == 0.0)):
+        return _power_const(a, b.value, p)
+    if p.defer(a.value <= 0.0):
+        raise _Fail("variable exponent needs positive base")
+    return _exp(b * _ln(a, p), p)
+
+
+def _power_const(a: Dual2, c, p) -> Dual2:
     v = a.value
-    if v > 0.0:
-        f = v ** c
-        return _chain(a, f, c * f / v, c * (c - 1.0) * f / (v * v))
+    if p.defer((v <= 0.0) | (v != v)):  # NaN takes the negative-base branch
+        return _power_edge(a, c)
+    f = p.pow(v, c)
+    return _chain(a, f, c * f / v, c * (c - 1.0) * f / (v * v))
+
+
+def _power_edge(a: Dual2, c: float) -> Dual2:
+    """a^c at a zero, negative or NaN float base."""
+    v = a.value
     if v == 0.0:
         if math.isnan(c):
             # NaN fails every test below and would read as c >= 2
-            raise _domain_error(u, e, "zero base with NaN exponent")
+            raise _Fail("zero base with NaN exponent")
         if c == 0.0:
-            raise _domain_error(u, e, "0^0")
+            raise _Fail("0^0")
         if c < 0.0:
-            raise _domain_error(u, e, "zero base with negative exponent")
+            raise _Fail("zero base with negative exponent")
         if c == 1.0:
             return a
         if c < 2.0:
             # v^(c-1) or v^(c-2) blows up in the derivative terms
-            raise _domain_error(u, e, "derivative unbounded at zero base")
+            raise _Fail("derivative unbounded at zero base")
         d2 = 2.0 * a.d1 * a.d1 if c == 2.0 else 0.0
         return Dual2(0.0, 0.0, d2)
     # negative base: only integral exponents are defined (Python's float
     # power silently promotes fractional ones to complex); round raises
     # OverflowError on an infinite exponent and ValueError on NaN
     if math.isnan(c) or c != round(c):
-        raise _domain_error(u, e, "negative base with non-integer exponent")
+        raise _Fail("negative base with non-integer exponent")
     k = int(round(c))
     f = v ** k
     df = k * v ** (k - 1)
@@ -342,131 +398,139 @@ def _dual_pow_const(a: Dual2, c: float, u: float, e: Bin) -> Dual2:
     return _chain(a, f, df, d2f)
 
 
-def _compile_node(e: Expr):
-    """Node e as a closure f(seed, u) -> Dual2 that does eval2's work at
-    e: the node type and operator are resolved here, once, and every
-    call makes the same operations and domain checks in the same order.
+def _ln(a: Dual2, p) -> Dual2:
+    v = a.value
+    if p.defer(v <= 0.0):
+        raise _Fail("log of non-positive value")
+    return _chain(a, p.log(v), 1.0 / v, -1.0 / (v * v))
+
+
+def _exp(a: Dual2, p) -> Dual2:
+    f = p.exp(a.value)
+    return _chain(a, f, f, f)
+
+
+def _sqrt(a: Dual2, p) -> Dual2:
+    v = a.value
+    if p.defer(v <= 0.0):
+        if v < 0.0:
+            raise _Fail("sqrt of negative value")
+        if a.d1 == 0.0 and a.d2 == 0.0:
+            return Dual2(0.0, 0.0, 0.0)
+        raise _Fail("derivative unbounded at sqrt(0)")
+    r = p.sqrt(v)
+    return _chain(a, r, 0.5 / r, -0.25 / (v * r))
+
+
+def _abs(a: Dual2, p) -> Dual2:
+    v = a.value
+    if p.defer(v == 0.0):  # the derivative at the kink is defined as 0
+        return _chain(a, 0.0, 0.0, 0.0)
+    return _chain(a, abs(v), p.copysign(1.0, v), 0.0)
+
+
+# + - * have no predicate and cannot raise: their rules are Dual2's
+# operators, called with no policy
+_RULES = {"+": Dual2.__add__, "-": Dual2.__sub__, "*": Dual2.__mul__,
+          "/": _divide, "^": _power,
+          "ln": _ln, "exp": _exp, "sqrt": _sqrt, "abs": _abs}
+
+
+class _Raise:
+    """Scalar policy: a predicate that holds takes its scalar branch."""
+
+    defer = split = bool
+    log, exp, pow, sqrt, copysign = (math.log, math.exp, pow, math.sqrt,
+                                     math.copysign)
+
+
+def _each(fn, bad, *columns):
+    """fn at every point not in bad, called on Python floats.
+
+    numpy's log, exp and power differ from libm in the last bit on some
+    inputs, so these stay scalar calls.  A point where fn raises joins
+    bad; the points in bad read nan.
     """
+    keep = ~bad
+    cols = [np.full(bad.shape, c)[keep].tolist() for c in columns]
+    out = np.full(bad.shape, math.nan)
+    try:
+        out[keep] = list(map(fn, *cols))
+    except (ArithmeticError, ValueError):
+        for i, args in zip(np.flatnonzero(keep).tolist(), zip(*cols)):
+            try:
+                out[i] = fn(*args)
+            except (ArithmeticError, ValueError):
+                bad[i] = True
+    return out
+
+
+class _Defer:
+    """Grid policy: a predicate that holds marks its points in bad, for
+    eval2 to evaluate one by one, and the walk goes on."""
+
+    sqrt, copysign = np.sqrt, np.copysign  # correctly rounded, like math's
+
+    def __init__(self, bad):
+        self.bad = bad
+        self.log, self.exp, self.pow = (partial(_each, fn, bad)
+                                        for fn in (math.log, math.exp, pow))
+
+    def defer(self, cond) -> bool:
+        self.bad |= cond
+        return False
+
+    def split(self, cond) -> bool:
+        return np.all(cond) or self.defer(cond)
+
+
+def _compile_node(e: Expr):
+    """Node e as a closure f(seed, p) -> Dual2 that runs e's rule under
+    policy p: the node type and operator are resolved here, once."""
     if isinstance(e, Var):
-        return lambda seed, u: seed
+        return lambda seed, p: seed
     if isinstance(e, (Num, Const)):
         d = Dual2(e.value if isinstance(e, Num) else _CONSTANTS[e.name],
                   0.0, 0.0)
-        return lambda seed, u: d
+        return lambda seed, p: d
     if isinstance(e, Neg):
         arg = _compile_node(e.arg)
-        return lambda seed, u: -arg(seed, u)
-    if isinstance(e, Bin):
-        rule = _bin_rule(e)
-        left, right = _compile_node(e.left), _compile_node(e.right)
+        return lambda seed, p: -arg(seed, p)
+    if isinstance(e, Bin) and e.op in _BIN_LEVELS:
+        rule, left, right = (_RULES[e.op], _compile_node(e.left),
+                             _compile_node(e.right))
+        if e.op in "+-*":
+            return lambda seed, p: rule(left(seed, p), right(seed, p))
 
-        def binary(seed, u):
-            a = left(seed, u)
-            b = right(seed, u)
+        def binary(seed, p):
             try:
-                return rule(u, a, b)
-            except (OverflowError, ZeroDivisionError):
-                # a derivative denominator such as v*v underflowing to 0
-                # means that derivative overflows
-                raise _domain_error(u, e, "overflow") from None
+                return rule(left(seed, p), right(seed, p), p)
+            except _RAISES as err:  # the operands raise DomainError only
+                raise _node_error(seed.value, e, err) from None
         return binary
-    if isinstance(e, Call):
-        rule, arg = _call_rule(e), _compile_node(e.arg)
+    if isinstance(e, Call) and e.fn in _FUNCTIONS:
+        rule, arg = _RULES[e.fn], _compile_node(e.arg)
 
-        def call(seed, u):
-            a = arg(seed, u)
+        def call(seed, p):
             try:
-                return rule(u, a)
-            except (OverflowError, ZeroDivisionError):
-                raise _domain_error(u, e, "overflow") from None
+                return rule(arg(seed, p), p)
+            except _RAISES as err:
+                raise _node_error(seed.value, e, err) from None
         return call
-
-    def not_a_node(seed, u):
-        raise InvalidParameter(f"not an expression node: {e!r}")
-    return not_a_node
-
-
-def _bin_rule(e: Bin):
-    """Bin node e's arithmetic as rule(u, a, b) on its operands' values."""
-    if e.op == "+":
-        return lambda u, a, b: a + b
-    if e.op == "-":
-        return lambda u, a, b: a - b
-    if e.op == "*":
-        return lambda u, a, b: a * b
-    if e.op == "/":
-        def divide(u, a, b):
-            if b.value == 0.0:
-                raise _domain_error(u, e, "division by zero")
-            return a / b
-        return divide
-    if e.op == "^":
-        def power(u, a, b):
-            if b.d1 == 0.0 and b.d2 == 0.0:
-                return _dual_pow_const(a, b.value, u, e)
-            if a.value <= 0.0:
-                raise _domain_error(
-                    u, e, "variable exponent needs positive base")
-            ln_a = _chain(a, math.log(a.value), 1.0 / a.value,
-                          -1.0 / (a.value * a.value))
-            prod = b * ln_a
-            f = math.exp(prod.value)
-            return _chain(prod, f, f, f)
-        return power
-
-    def unknown(u, a, b):
-        raise InvalidParameter(f"unknown operator {e.op!r}")
-    return unknown
-
-
-def _call_rule(e: Call):
-    """Call node e's arithmetic as rule(u, a) on its argument's value."""
-    if e.fn == "ln":
-        def ln(u, a):
-            v = a.value
-            if v <= 0.0:
-                raise _domain_error(u, e, "log of non-positive value")
-            return _chain(a, math.log(v), 1.0 / v, -1.0 / (v * v))
-        return ln
-    if e.fn == "exp":
-        def exp(u, a):
-            f = math.exp(a.value)
-            return _chain(a, f, f, f)
-        return exp
-    if e.fn == "sqrt":
-        def sqrt(u, a):
-            v = a.value
-            if v < 0.0:
-                raise _domain_error(u, e, "sqrt of negative value")
-            if v == 0.0:
-                if a.d1 == 0.0 and a.d2 == 0.0:
-                    return Dual2(0.0, 0.0, 0.0)
-                raise _domain_error(u, e, "derivative unbounded at sqrt(0)")
-            r = math.sqrt(v)
-            return _chain(a, r, 0.5 / r, -0.25 / (v * r))
-        return sqrt
-    if e.fn == "abs":
-        def abs_(u, a):
-            v = a.value
-            s = 0.0 if v == 0.0 else math.copysign(1.0, v)
-            # derivative at the kink is defined as 0
-            return _chain(a, abs(v), s, 0.0)
-        return abs_
-
-    def unknown(u, a):
-        raise UnknownIdentifier(e.fn, 0)
-    return unknown
+    raise InvalidParameter(f"not an expression node: {e!r}")
 
 
 def compile2(e: Expr):
     """e compiled once into a function of a finite float u that returns
-    eval2(e, u); pass it to eval2 in place of e."""
+    eval2(e, u); pass it to eval2 or eval_prefix in place of e.  Under
+    a _Defer policy p, law(us, p) runs the same tree over an array us."""
     node = _compile_node(e)
 
-    def law(u: float) -> Dual2:
-        out = node(Dual2(u, 1.0, 0.0), u)
-        if not (math.isfinite(out.value) and math.isfinite(out.d1)
-                and math.isfinite(out.d2)):
+    def law(u, p=_Raise):
+        out = node(Dual2(u, 1.0, 0.0), p)
+        # x * 0.0 is nan exactly where x is inf or nan
+        z = out.value * 0.0 + out.d1 * 0.0 + out.d2 * 0.0
+        if p.defer(z != z):
             raise _domain_error(u, e, "non-finite result")
         return out
     return law
@@ -483,116 +547,28 @@ def eval2(e, u: float) -> Dual2:
     return (e if callable(e) else compile2(e))(u)
 
 
-def _each(fn, bad, *columns):
-    """fn at every point, called on Python floats.
+def eval_prefix(e, us) -> tuple[Dual2, DomainError | None]:
+    """eval2 at every u of a 1-D grid, in one run of the compiled tree.
 
-    numpy's log, exp and power differ from libm in the last bit on some
-    inputs, so these stay scalar calls.  A point where fn raises is
-    flagged in bad and reads nan.
+    e is an expression or its compile2 form.  Returns Dual2 arrays over
+    the longest prefix of us at which eval2 returns, and the DomainError
+    that eval2 raises at the next point (None when every point
+    evaluates); other errors propagate from the first point that raises
+    them.  Every value is bit-identical to eval2's: the points that the
+    grid policy marks are evaluated by eval2.
     """
-    cols = [c.tolist() for c in columns]
-    try:
-        return np.array(list(map(fn, *cols)), dtype=float)
-    except (ArithmeticError, ValueError):
-        pass
-    out = []
-    for i, args in enumerate(zip(*cols)):
-        try:
-            out.append(fn(*args))
-        except (ArithmeticError, ValueError):
-            bad[i] = True
-            out.append(math.nan)
-    return np.array(out, dtype=float)
-
-
-def _pow_many(a: Dual2, b: Dual2, bad) -> Dual2:
-    v = a.value
-    const = (b.d1 == 0.0) & (b.d2 == 0.0)
-    if not const.all():
-        # exp(b ln a); points where the exponent is constant go to eval2
-        bad |= const | (v <= 0.0) | (v * v == 0.0)
-        ln_a = _chain(a, _each(math.log, bad, v), 1.0 / v, -1.0 / (v * v))
-        prod = b * ln_a
-        f = _each(math.exp, bad, prod.value)
-        return _chain(prod, f, f, f)
-    # zero and negative bases take eval2's special cases
-    c = b.value
-    bad |= (v <= 0.0) | (v * v == 0.0)
-    f = _each(pow, bad, np.where(v > 0.0, v, 1.0), c)
-    return _chain(a, f, c * f / v, c * (c - 1.0) * f / (v * v))
-
-
-def _walk_many(e: Expr, seed: Dual2, bad) -> Dual2:
-    """eval2's arithmetic on a whole grid, with Dual2 arrays as values.
-
-    Sets bad at every point where eval2 raises or might raise, and
-    wherever an operation here could round differently from it.
-    """
-    n = bad.size
-    if isinstance(e, Var):
-        return seed
-    if isinstance(e, (Num, Const)):
-        value = e.value if isinstance(e, Num) else _CONSTANTS[e.name]
-        return Dual2(np.full(n, value), np.zeros(n), np.zeros(n))
-    if isinstance(e, Neg):
-        return -_walk_many(e.arg, seed, bad)
-    if isinstance(e, Bin) and e.op in ("+", "-", "*", "/", "^"):
-        a = _walk_many(e.left, seed, bad)
-        b = _walk_many(e.right, seed, bad)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            bad |= b.value == 0.0
-            return a / b
-        return _pow_many(a, b, bad)
-    if isinstance(e, Call) and e.fn in _FUNCTIONS:
-        a = _walk_many(e.arg, seed, bad)
-        v = a.value
-        if e.fn == "ln":
-            bad |= (v <= 0.0) | (v * v == 0.0)
-            return _chain(a, _each(math.log, bad, v), 1.0 / v, -1.0 / (v * v))
-        if e.fn == "exp":
-            f = _each(math.exp, bad, v)
-            return _chain(a, f, f, f)
-        if e.fn == "sqrt":
-            # np.sqrt is correctly rounded, like math.sqrt; sqrt(0)
-            # goes to eval2
-            r = np.sqrt(v)
-            bad |= (v < 0.0) | (v * r == 0.0)
-            return _chain(a, r, 0.5 / r, -0.25 / (v * r))
-        s = np.where(v == 0.0, 0.0, np.copysign(1.0, v))
-        return _chain(a, np.abs(v), s, 0.0)
-    # anything else: eval2 raises at each point what it raises there
-    bad[:] = True
-    nan = np.full(n, math.nan)
-    return Dual2(nan, nan, nan)
-
-
-def eval_prefix(e: Expr, us, law=None) -> tuple[Dual2, DomainError | None]:
-    """eval2 at every u of a 1-D grid, in one walk of the tree.
-
-    Returns Dual2 arrays over the longest prefix of us at which eval2
-    returns, and the DomainError that eval2 raises at the next point
-    (None when every point evaluates); other errors propagate from
-    the first point that raises them.  Every value is bit-identical to
-    eval2's: the points where the walk meets a domain condition, a
-    failing scalar call or a non-finite value are evaluated by eval2,
-    with law, e's compile2 form, built once if the caller has none.
-    """
+    law = e if callable(e) else compile2(e)
     us = np.array(us, dtype=float)
-    bad = ~np.isfinite(us)
+    grid = _Defer(~np.isfinite(us))
     with np.errstate(all="ignore"):
-        out = _walk_many(e, Dual2(us, np.ones(us.size), np.zeros(us.size)),
-                         bad)
-    value, d1, d2 = (np.array(x, dtype=float)
-                     for x in (out.value, out.d1, out.d2))
-    bad |= ~(np.isfinite(value) & np.isfinite(d1) & np.isfinite(d2))
-    for i in np.flatnonzero(bad).tolist():
-        law = law or compile2(e)
+        try:
+            out = law(us, grid)
+        except DomainError:
+            # only a subtree free of u raises on a grid: at every point
+            grid.bad[:] = True
+            out = Dual2(math.nan, math.nan, math.nan)
+    value, d1, d2 = (np.full(us.shape, x, dtype=float) for x in out)
+    for i in np.flatnonzero(grid.bad).tolist():
         try:
             d = eval2(law, us[i])
         except DomainError as err:

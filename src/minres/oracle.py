@@ -160,7 +160,11 @@ def brute_force(spec: ProblemSpec, branch: str, beta: float,
     u0 = 0.0 if cv is None else cv.u0
     u_cap = 4.0 * max(1.0, beta / T, u0)
     dx = beta / n_heights
-    m_max = min(n_heights, int(u_cap * dt / dx * (1.0 + 1e-12)))
+    try:
+        m_max = min(n_heights, int(u_cap * dt / dx * (1.0 + 1e-12)))
+    except (ZeroDivisionError, OverflowError):  # dx is 0 or tiny
+        raise InfeasibleGrid(f"height step dx={dx!r} of beta={beta!r} "
+                             "is out of range on this grid") from None
     if m_max < 1 or m_max * n_cells < n_heights:
         raise InfeasibleGrid(
             f"slope cap {u_cap} cannot reach beta={beta} on this grid")

@@ -93,7 +93,7 @@ class PressureModel:
         """
         us = np.asarray(us, dtype=float)
         if self.kind == "expr":
-            d, err = exprlang.eval_prefix(self.expr, us, self.law)
+            d, err = exprlang.eval_prefix(self.law, us)
             return d.value, d.d1, d.d2, err
         if self.kind == "zero":
             return (np.zeros(us.size), np.zeros(us.size), np.zeros(us.size),

@@ -248,9 +248,9 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
             R = (factor * T ** (d - 1) * gt.model.p(0.0) if ex.is_flat
                  else factor * resistance_branch(gt, ex.U, T))
             branches.append((ex, R))
-    except OverflowError as err:
-        raise InvalidParameter(
-            f"T={T!r} is out of range: T**{d - 1} overflows") from err
+    except OverflowError as err:  # ProblemSpec has checked T**(d-1)
+        raise InvalidParameter(f"T={T!r}, d={d}: a branch extremal or "
+                               "resistance overflows") from err
     (front, R_p), (rear, R_m) = branches
     beta_m, beta_p = split_height(H, rear.beta)
     return BodySolution(spec=spec,

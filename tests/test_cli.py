@@ -288,6 +288,34 @@ def test_exit_2_on_overflowing_resistance(tmp_path, capsys, argv):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("argv, dx", [
+    # beta/n_heights underflows to 0
+    (["--dim", "5", "--T", "1", "--H", "5e-324", "--p-plus",
+      "2/(1+u^2)+0.2", "--p-minus", "newton:0.1,0"], "dx=0.0"),
+    # the height steps one cell can climb overflow
+    (["--dim", "3", "--T", "1e8", "--H", "1e-300", "--p-plus", "newton:1,0",
+      "--p-minus", "newton:0.1,0", "--grid", "20x40"], "dx=2.5e-302"),
+])
+def test_exit_3_on_unrepresentable_height_step(capsys, argv, dx):
+    rc = run(["verify"] + argv)
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "InfeasibleGrid"
+    assert dx in payload["message"] and "beta=" in payload["message"]
+
+
+def test_overflowing_law_is_not_blamed_on_T(capsys):
+    """T**2 = 1 is finite; the law's own scale overflows the resistance."""
+    rc = run(["solve", "--dim", "3", "--T", "1", "--H", "1", "--p-plus",
+              "1e200/(1+u^2)", "--p-minus", "zero"])
+    payload = json.loads(capsys.readouterr().err)
+    assert rc == 2 and payload["error"] == "InvalidParameter"
+    assert payload["message"] == ("T=1.0, d=3: a branch extremal or "
+                                  "resistance overflows")
+
+
 def test_exit_3_on_solver_nonconvergence(capsys, monkeypatch):
     def explode(spec, n_samples=256):
         raise NoConvergence("synthetic", bracket=(0.0, 1.0), residual=1.0)
@@ -482,6 +510,47 @@ def test_verify_check_profile_accepts_optimal(tmp_path, capsys):
     rc2 = run(["verify", "--dim", "2", "--T", "2", "--H", "2"] + PAIR
               + ["--check-profile", str(csv_path)])
     assert rc2 == 0
+
+
+def _solved_csv_with_front(tmp_path, front):
+    """The solver's CSV of a d=2 cone of height 1.5, with x_front and
+    u_front replaced by front(t) and its slope."""
+    path = tmp_path / "p.csv"
+    assert run(["solve", "--dim", "2", "--T", "1", "--H", "1.5"] + PARALLEL
+               + ["--out-profile", str(path)]) == 0
+    header, *rows = path.read_text().splitlines()
+    assert header == "t,x_front,x_rear,u_front,u_rear"
+    out = [header]
+    for row in rows:
+        t, _, x_rear, _, u_rear = row.split(",")
+        x, u = front(float(t))
+        out.append(f"{t},{x!r},{x_rear},{u!r},{u_rear}")
+    path.write_text("\n".join(out) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("front, witness", [
+    # the front reaches 1.515, not H = 1.5
+    (lambda t: (1.515 * t, 1.515),
+     {"t": 1.0, "x_front": 1.515, "x_rear": 0.0}),
+    # the front starts 0.01 above the top
+    (lambda t: (0.01 + 1.5 * t, 1.5), {"t": 0.0, "x_front": 0.01}),
+], ids=["height", "start"])
+def test_verify_check_profile_rejects_wrong_heights(tmp_path, capsys, front,
+                                                    witness):
+    """A CSV profile must start at x = 0 and its heights must add up to
+    H; a steeper cone is certified otherwise, since each branch is
+    checked only against its own law."""
+    path = _solved_csv_with_front(tmp_path, front)
+    capsys.readouterr()
+    rc = run(["verify", "--dim", "2", "--T", "1", "--H", "1.5"] + PARALLEL
+             + ["--check-profile", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidParameter"
+    assert payload["witness"] == witness
 
 
 def test_version_flag(capsys):

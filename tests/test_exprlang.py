@@ -237,6 +237,56 @@ def test_domain_errors():
         assert (grid_err.u, grid_err.where, str(grid_err)) == expected, text
 
 
+# (text, u, (value, d1, d2)): the points where a rule's scalar branch
+# returns a value, which a grid hands to eval2
+SPECIAL_VALUES = (
+    ("u^1", 0.0, (0.0, 1.0, 0.0)),
+    ("u^2", 0.0, (0.0, 0.0, 2.0)),
+    ("u^3", 0.0, (0.0, 0.0, 0.0)),
+    ("(0-u)^3", 1.0, (-1.0, -3.0, -6.0)),
+    ("(0-u)^-2", 1.0, (1.0, -2.0, 6.0)),
+    ("sqrt(u-u)", 1.0, (0.0, 0.0, 0.0)),
+    ("abs(u)", 0.0, (0.0, 0.0, 0.0)),
+)
+
+
+def test_special_values():
+    """eval2 returns the closed form; a grid returns the same bits."""
+    for text, u, expected in SPECIAL_VALUES:
+        d = eval2(parse(text), u)
+        assert tuple(d) == expected, text
+        grid, err = eval_prefix(parse(text), [u, u + 1.0])
+        assert err is None, text
+        assert ([float.hex(float(x[0])) for x in grid]
+                == [float.hex(x) for x in d]), text
+
+
+# (text, u, where): a derivative denominator such as v*v underflows to 0
+# at u.  eval2 raises there; a grid, which marks no such point itself,
+# divides by 0 into a second derivative that no later rule makes finite
+# again, so its final finite check hands the point to eval2
+UNDERFLOWS = (
+    ("ln(u)", 1e-200, "ln(u)"),
+    ("ln(u)*0", 1e-200, "ln(u)"),
+    ("1/ln(u)", 1e-200, "ln(u)"),
+    ("exp(0-ln(u))", 1e-200, "ln(u)"),
+    ("u^3", 1e-200, "u^3.0"),
+    ("u^u", 1e-200, "u^u"),
+    ("sqrt(u)", 1e-320, "sqrt(u)"),
+)
+
+
+def test_underflowed_denominators_reach_eval2():
+    for text, u, where in UNDERFLOWS:
+        with pytest.raises(DomainError) as err:
+            eval2(parse(text), u)
+        assert (err.value.where, str(err.value)) == (
+            where, f"undefined at u={u!r} in {where} (overflow)"), text
+        grid, grid_err = eval_prefix(parse(text), [u, u + 1.0])
+        assert grid.value.size == 0, text
+        assert str(grid_err) == str(err.value), text
+
+
 def test_abs_kink():
     v, d1, _ = ev("abs(u)", -3.0)
     assert v == 3.0 and d1 == -1.0

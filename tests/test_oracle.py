@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from minres.body import Linear, ParamArc, ProblemSpec, Profile
+from minres.body import Linear, ParamArc, ProblemSpec, Profile, flat_profile
 from minres.errors import InfeasibleGrid, InvalidParameter
 from minres.oracle import brute_force, check_maximality, resistance_quadrature
 from minres.planar import solve2d
@@ -170,6 +170,19 @@ def test_brute_force_grid_limits():
     with pytest.raises(InfeasibleGrid):
         # one height step of 4 in a cell of 0.001 needs slope 4000; cap is 8
         brute_force(spec, "front", 4.0, 2000, 1)
+
+
+def test_brute_force_rejects_an_overflowing_radius_power():
+    """T**(d-1) overflows: an input error, not a raw OverflowError."""
+    with pytest.raises(InvalidParameter, match=r"T\*\*2 overflows"):
+        brute_force(parallel_spec(3, 1e200, 1.0), "front", 1.0, n_cells=10,
+                    n_heights=10)
+
+
+def test_quadrature_rejects_an_overflowing_radius_power():
+    with pytest.raises(InvalidParameter, match=r"T\*\*2 overflows"):
+        resistance_quadrature(parallel_spec(3, 1e200, 1.0), "front",
+                              flat_profile(1e200))
 
 
 def test_quadrature_exact_on_linear_segments():
