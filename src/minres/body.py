@@ -268,13 +268,14 @@ class BodySolution:
     beta_minus, up to the one-ulp move of split_height.  The front's
     differs from beta_plus by T times what the root solves leave of the
     height balance b_plus(U_plus) + b_minus(U_minus) = H/T, and g enters
-    each branch height as |p'(U)|^omega g(U) with g computed to 1e-11.
-    With a flat rear, U_plus solves b_plus(U) = H/T to the bracket width
+    each branch height as |p'(U)|^omega g(U) with g computed to delta_g:
+    1e-11, or ~1e-14 g where g > ~1e4 and rounding dominates.  With a
+    flat rear, U_plus solves b_plus(U) = H/T to the bracket width
     delta = 1e-12 + 4 eps U_plus.  So, with omega = 1/(d-2),
     b' = omega |p'|^(omega-1) p'' g and eps = 2^-52:
 
         |front.beta - beta_plus| <= T (b_plus'(U_plus) delta
-            + 1e-11 (|p_plus'(U_plus)|^omega + |p_minus'(U_minus)|^omega))
+            + delta_g (|p_plus'(U_plus)|^omega + |p_minus'(U_minus)|^omega))
             + 2 eps H,
 
     where the p_minus term is dropped when the rear is flat.  A split's
@@ -295,6 +296,22 @@ class BodySolution:
     R_total: float
     U_plus: float | None = None
     U_minus: float | None = None
+
+    @classmethod
+    def from_branches(cls, spec: ProblemSpec, case_label: str, heights: tuple,
+                      front: tuple, rear: tuple) -> "BodySolution":
+        """The body whose branches carry heights (beta_plus, beta_minus)
+        and are (profile, multiplier, terminal slope, resistance): a zero
+        rear law has no multiplier, a branch with no height no slope."""
+        (f_prof, lam_p, U_p, R_p), (r_prof, lam_m, U_m, R_m) = front, rear
+        beta_p, beta_m = heights
+        return cls(spec=spec, case_label=case_label, front=f_prof,
+                   rear=r_prof, beta_plus=beta_p, beta_minus=beta_m,
+                   lambda_plus=lam_p,
+                   lambda_minus=None if spec.p_minus.is_zero else lam_m,
+                   R_plus=R_p, R_minus=R_m, R_total=R_p + R_m,
+                   U_plus=None if beta_p == 0.0 else U_p,
+                   U_minus=None if beta_m == 0.0 else U_m)
 
     def __post_init__(self):
         if self.beta_plus + self.beta_minus != self.spec.H:

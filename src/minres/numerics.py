@@ -126,7 +126,7 @@ def golden_section_max(f, a: float, b: float) -> tuple[float, float]:
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11) -> float:
-    """Integrate f over [a, b] to absolute tolerance tol.
+    """Integrate f over [a, b] to tol, or to its rounding where larger.
 
     Classic adaptive Simpson with Richardson correction; raises
     QuadratureFailure when its budget of 100,000 intervals is exhausted.
@@ -152,7 +152,12 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-11) -> float:
         left = (m0 - a0) / 6.0 * (fa0 + 4.0 * lm + fm0)
         right = (b0 - m0) / 6.0 * (fm0 + 4.0 * rm + fb0)
         err = left + right - whole0
-        if abs(err) <= 15.0 * tol0:
+        # Rounding alone leaves err up to ~30 eps (|left| + |right|) for a
+        # one-signed f: left, right and whole round five times each (2.5
+        # eps), err twice more (eps), and f values of relative error delta
+        # (<~ 12 eps for |p'|^-omega) add 2 delta.  64 eps doubles that.
+        if abs(err) <= max(15.0 * tol0,
+                           64.0 * _EPS * (abs(left) + abs(right))):
             total += left + right + err / 15.0
         else:
             half = 0.5 * tol0

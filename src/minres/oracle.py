@@ -73,19 +73,20 @@ def check_maximality(spec: ProblemSpec, branch: str, profile: Profile,
     slopes = profile.sample(t_grid)[1]
     p_prof = model.eval_many(slopes)[0]
 
-    worst = -math.inf
-    wit_t = wit_u = 0.0
-    scale = 1.0
-    for t, slope, p in zip(t_grid.tolist(), slopes.tolist(), p_prof.tolist()):
-        w = t ** (d - 2)
-        h_grid = w * p_vals + lam * u_grid
-        scale = max(scale, 1.0 + float(np.max(np.abs(h_grid))))
-        k = int(np.argmin(h_grid))
-        h_prof = w * p + lam * slope
-        violation = h_prof - float(h_grid[k])
-        if violation > worst:
-            worst = violation
-            wit_t, wit_u = t, float(u_grid[k])
+    # h_t over the slope grid, one row per t (Python's ** on each t:
+    # numpy's power rounds some t differently); a row holding nan counts
+    # neither for the scale nor as a violation
+    w = np.array([t ** (d - 2) for t in t_grid.tolist()])
+    h_grid = w[:, np.newaxis] * p_vals + lam * u_grid
+    top = np.max(np.abs(h_grid), axis=1)
+    scale = 1.0 + float(np.max(top, where=~np.isnan(top), initial=0.0))
+    k = np.argmin(h_grid, axis=1)  # the first u with the smallest h_t
+    violation = w * p_prof + lam * slopes - h_grid[np.arange(n_t), k]
+    violation[np.isnan(violation)] = -math.inf
+    i = int(np.argmax(violation))  # the first t with the largest violation
+    worst = float(violation[i])
+    wit_t, wit_u = ((float(t_grid[i]), float(u_grid[k[i]]))
+                    if worst > -math.inf else (0.0, 0.0))
     threshold = 1e-8 * scale
     return MaximalityReport(lam=lam, worst_violation=worst,
                             witness_t=wit_t, witness_u=wit_u, scale=scale,

@@ -185,16 +185,16 @@ def _check_conditions(model: PressureModel, violations: list):
         violations.append(("i", float(grid[bad[0]]),
                            "non-finite p, p' or p''"))
 
-    tail = abs(model.p(u_max) - model.p(u_max / 2.0))
+    p_max, dp_max = float(vals[-1]), float(d1s[-1])  # the grid ends at u_max
+    tail = abs(p_max - model.p(u_max / 2.0))
     if tail > 100.0 * tol * scale:
         violations.append(("ii", u_max,
                            f"no limit at infinity: |p({u_max:g})-p({u_max / 2:g})|={tail:g}"))
 
     if abs(dp0) > tol * scale:
         violations.append(("iii", 0.0, f"p'(0)={dp0:g} not ~0"))
-    dp_tail = model.dp(u_max)
-    if abs(dp_tail) > tol * scale:
-        violations.append(("iii", u_max, f"p'({u_max:g})={dp_tail:g} not ~0"))
+    if abs(dp_max) > tol * scale:
+        violations.append(("iii", u_max, f"p'({u_max:g})={dp_max:g} not ~0"))
 
     # condition (iv): p'' sign pattern -...-+...+ with a 1e-9 dead-band
     signs = np.where(d2s > 1e-9, 1, np.where(d2s < -1e-9, -1, 0))
@@ -221,4 +221,4 @@ def _check_conditions(model: PressureModel, violations: list):
                 hi = float(grid[hi_candidates[0]])
                 u_bar_estimate = bracket_root(lambda v: model.d2p(v), lo, hi)
 
-    return float(model.p(u_max)), u_bar_estimate
+    return p_max, u_bar_estimate

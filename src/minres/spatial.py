@@ -60,7 +60,7 @@ class GTable:
         return abs(self.model.dp(v)) ** (-self.omega)
 
     def g(self, u: float) -> float:
-        """g(u) to absolute accuracy ~1e-11 (closed form below u0)."""
+        """g(u) to 1e-11, or ~1e-14 g where g > ~1e4 (closed form below u0)."""
         if u < 0.0:
             raise InvalidParameter(f"slope must be nonnegative, got {u}")
         base = self.cv.u0 / self.cv.B ** self.omega
@@ -204,7 +204,7 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
     h = H / T
     gt_plus = GTable(spec.p_plus, pc.plus, d)
     gt_minus = GTable(spec.p_minus, pc.minus, d)
-    z_minus = None  # a flat rear
+    z_minus = pc.minus.u0  # a flat rear (u0 is inf for a zero rear law)
     if h <= pc.h_star:
         # rear flat: the front carries the whole height
         try:
@@ -238,12 +238,11 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
         z_plus = front_slope(z_minus)
         _check_curvature(gt_plus, z_plus)
 
-    # a zero rear comes out flat with p(0) = 0: its sentinel u0 is inf
+    # a zero rear comes out flat with p(0) = 0
     factor = spec.resistance_factor
     branches = []
     try:
-        for gt, z in ((gt_plus, z_plus),
-                      (gt_minus, pc.minus.u0 if z_minus is None else z_minus)):
+        for gt, z in ((gt_plus, z_plus), (gt_minus, z_minus)):
             ex = extremal_from_U(gt, z, T, n_samples)
             R = (factor * T ** (d - 1) * gt.model.p(0.0) if ex.is_flat
                  else factor * resistance_branch(gt, ex.U, T))
@@ -252,14 +251,8 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
         raise InvalidParameter(f"T={T!r}, d={d}: a branch extremal or "
                                "resistance overflows") from err
     (front, R_p), (rear, R_m) = branches
-    beta_m, beta_p = split_height(H, rear.beta)
-    return BodySolution(spec=spec,
-                        case_label=FLAT_DISK if H == 0.0 else SPATIAL,
-                        front=_profile_from_extremal(front),
-                        rear=_profile_from_extremal(rear),
-                        beta_plus=beta_p, beta_minus=beta_m,
-                        lambda_plus=front.lam,
-                        lambda_minus=None if spec.p_minus.is_zero else rear.lam,
-                        R_plus=R_p, R_minus=R_m, R_total=R_p + R_m,
-                        U_plus=None if H == 0.0 else front.U,
-                        U_minus=None if z_minus is None else rear.U)
+    return BodySolution.from_branches(
+        spec, FLAT_DISK if H == 0.0 else SPATIAL,
+        split_height(H, rear.beta)[::-1],
+        (_profile_from_extremal(front), front.lam, front.U, R_p),
+        (_profile_from_extremal(rear), rear.lam, rear.U, R_m))

@@ -93,6 +93,17 @@ def test_d4_matches_generic_solver():
         assert sol.R_total == pytest.approx(c.R_plus, rel=1e-9)
 
 
+@pytest.mark.parametrize("closed, d", [(newton3, 3), (newton4, 4)])
+@pytest.mark.parametrize("U", [32.0, 64.0, 200.0])
+def test_tall_bodies_match_closed_forms(closed, d, U):
+    """g(U) reaches ~2e6 at U = 64 in d = 3, where its rounding alone
+    exceeds the 1e-11 quadrature tolerance; the solve still succeeds."""
+    c = closed(1.0, U)
+    sol = solve_spatial(spec_for(d, 1.0, c.beta))
+    assert sol.R_total == pytest.approx(c.R_plus, rel=1e-12, abs=0.0)
+    assert sol.U_plus == pytest.approx(U, rel=1e-12, abs=0.0)
+
+
 def test_parametric_curve_matches_generic_samples():
     """Generic extremal samples land on the closed-form (t(u), x(u))."""
     for d, closed in ((3, newton3), (4, newton4)):

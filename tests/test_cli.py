@@ -306,6 +306,15 @@ def test_exit_3_on_unrepresentable_height_step(capsys, argv, dx):
     assert dx in payload["message"] and "beta=" in payload["message"]
 
 
+def test_tall_body_solves(capsys):
+    """b(32) ~ 23.98, so this height makes the height inversion evaluate
+    g(64) ~ 2e6, whose quadrature sums round above its 1e-11 tolerance."""
+    rc = run(["solve", "--dim", "3", "--T", "1", "--H", "24"] + PARALLEL)
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert out.startswith("Spatial R_total=")
+
+
 def test_overflowing_law_is_not_blamed_on_T(capsys):
     """T**2 = 1 is finite; the law's own scale overflows the resistance."""
     rc = run(["solve", "--dim", "3", "--T", "1", "--H", "1", "--p-plus",

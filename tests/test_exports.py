@@ -9,15 +9,24 @@ profile model moves an exported byte.  A deliberate change of output
 updates these digests in the same commit and says so.  Float formatting
 is repr, so the digests hold on any IEEE-754 platform whose libm agrees
 to the last bit.
+
+`REPORT_DIGESTS` pins the JSON reports of `minres solve` and `minres
+verify` in the same way: the multipliers, terminal slopes, resistances,
+validation summaries and the oracle block.
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 
 import pytest
 
+import minres.cli as cli
 from minres import solve
 from minres.render import profile_csv, profile_svg
-from test_acceptance import MATRIX, _spec_for
+from test_acceptance import MATRIX, PAIR_MINUS, PAIR_PLUS, _spec_for
 
 # (d, T, H, flux): first 16 hex digits of sha256 of (CSV, SVG);
 # `python tests/test_exports.py` prints both tables as the exports hash now.
@@ -62,6 +71,32 @@ DIGESTS_2048 = {
     (4, 1.0, 0.5, "pair"): ("5dc36ddc2d4bd9da", "b389a7db2e0a0adc"),
 }
 
+# (d, T, H, flux, ball_volume): first 16 hex digits of sha256 of the
+# `solve --out-report` JSON and of the `verify --grid 20x40
+# --maximality-samples 16x32 --out-report` JSON; the 12 matrix rows,
+# a flat disk in d = 2, 3 and 4, and two rows with --ball-volume
+REPORT_DIGESTS = {
+    (2, 2.0, 1.0, "parallel", False): ("b118b4a2f456e1df", "bee2a54fb9ad27aa"),
+    (2, 2.0, 3.0, "parallel", False): ("b248af51e91e4d6a", "1e964a011fb98c6d"),
+    (2, 2.0, 1.0, "pair", False): ("1155e34098adc55e", "9aee6e3ba55372b6"),
+    (2, 2.0, 6.0, "pair", False): ("e649af3f3e076921", "2bedd71a6ee84aa4"),
+    (3, 1.0, 0.4, "parallel", False): ("6d371be4acee4de5", "d5e881db430cd2fc"),
+    (3, 1.0, 0.55, "parallel", False): ("f00a07e6c3b42beb", "fd205424451488a5"),
+    (3, 1.0, 0.4, "pair", False): ("e7eea3b116c15e03", "9f032b776ad17bf0"),
+    (3, 1.0, 0.8, "pair", False): ("2a587a9f178bccee", "87d3508e0834704c"),
+    (4, 1.0, 0.25, "parallel", False): ("7bfd66e4061b2587", "e722822102840d6d"),
+    (4, 1.0, 0.45, "parallel", False): ("adf94e12ac3e917b", "6a1c9476dad5c028"),
+    (4, 1.0, 0.2, "pair", False): ("24395ea25cb752dc", "bc65e80fd118599c"),
+    (4, 1.0, 0.5, "pair", False): ("011d64d2432f2ce0", "dd1d950d69f4f053"),
+    (2, 2.0, 0.0, "pair", False): ("9bee2253a62ce4a6", "6cafef34bb0b3e6b"),
+    (3, 1.0, 0.0, "parallel", False): ("b10f3defabf92b03", "31b6d80060dab446"),
+    (4, 1.0, 0.0, "pair", False): ("8716afaf4578230c", "c972ea5431200dc7"),
+    (2, 2.0, 6.0, "pair", True): ("753d75c435f14cd4", "0b051af3e637adc2"),
+    (4, 1.0, 0.45, "parallel", True): ("c59f18feabdff940", "4736c2b5fccb60be"),
+}
+
+_LAWS = {"parallel": ("newton:1,0", "zero"), "pair": (PAIR_PLUS, PAIR_MINUS)}
+
 
 def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
@@ -70,6 +105,26 @@ def _digest(text):
 def _exports_digest(row, n):
     sol = solve(_spec_for(*row), n_samples=n)
     return _digest(profile_csv(sol, n)), _digest(profile_svg(sol, n))
+
+
+def _report_digests(row):
+    """Digests of the solve and verify reports that the CLI writes."""
+    d, T, H, flux, ball = row
+    plus, minus = _LAWS[flux]
+    problem = ["--dim", str(d), "--T", repr(T), "--H", repr(H),
+               "--p-plus", plus, "--p-minus", minus]
+    problem += ["--ball-volume"] if ball else []
+    digests = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        for command in (["solve"], ["verify", "--grid", "20x40",
+                                    "--maximality-samples", "16x32"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main(command + problem + ["--out-report", path])
+            with open(path, encoding="utf-8") as fh:
+                digests.append(_digest(fh.read()))
+    return tuple(digests)
 
 
 @pytest.mark.parametrize("row", MATRIX, ids=lambda r: "-".join(map(str, r)))
@@ -83,9 +138,15 @@ def test_arc_exports_match_recorded_digests_at_2048_samples(row):
     assert _exports_digest(row, 2048) == DIGESTS_2048[row]
 
 
+@pytest.mark.parametrize("row", tuple(REPORT_DIGESTS),
+                         ids=lambda r: "-".join(map(str, r)))
+def test_reports_match_recorded_digests(row):
+    assert _report_digests(row) == REPORT_DIGESTS[row]
+
+
 if __name__ == "__main__":
-    # print both tables as the exports hash now, to paste over the ones
-    # above after a deliberate change of output
+    # print the three tables as the exports and reports hash now, to
+    # paste over the ones above after a deliberate change of output
     for name, rows, n in (("DIGESTS", MATRIX, 256),
                           ("DIGESTS_2048", DIGESTS_2048, 2048)):
         print(f"{name} = {{")
@@ -93,3 +154,10 @@ if __name__ == "__main__":
             csv, svg = _exports_digest((d, T, H, flux), n)
             print(f'    ({d}, {T!r}, {H!r}, "{flux}"): ("{csv}", "{svg}"),')
         print("}")
+    print("REPORT_DIGESTS = {")
+    for row in REPORT_DIGESTS:
+        d, T, H, flux, ball = row
+        solved, verified = _report_digests(row)
+        print(f'    ({d}, {T!r}, {H!r}, "{flux}", {ball}): '
+              f'("{solved}", "{verified}"),')
+    print("}")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from minres import solve
 from minres.body import Linear, ParamArc, ProblemSpec, Profile, flat_profile
 from minres.errors import InfeasibleGrid, InvalidParameter
 from minres.oracle import brute_force, check_maximality, resistance_quadrature
@@ -100,6 +101,57 @@ def test_maximality_rejects_perturbed_profile():
     rep = check_maximality(spec, "front", bad, sol.lambda_plus)
     assert not rep.passed
     assert rep.witness_t is not None and rep.witness_u is not None
+
+
+def _maximality_loop(spec, branch, profile, lam, n_t, n_u):
+    """Reference: the scan one t at a time, as check_maximality once ran."""
+    model = spec.p_plus if branch == "front" else spec.p_minus
+    T, d = spec.T, spec.d
+    u_max = 4.0 * max(1.0, profile.max_slope())
+    u_grid = np.concatenate(([0.0], np.geomspace(u_max * 1e-6, u_max,
+                                                 n_u - 1)))
+    p_vals = model.eval_many(u_grid)[0]
+    t_grid = T * (np.arange(1, n_t + 1) / n_t)
+    slopes = profile.sample(t_grid)[1]
+    p_prof = model.eval_many(slopes)[0]
+    worst, wit_t, wit_u, scale = -math.inf, 0.0, 0.0, 1.0
+    for t, slope, p in zip(t_grid.tolist(), slopes.tolist(), p_prof.tolist()):
+        w = t ** (d - 2)
+        h_grid = w * p_vals + lam * u_grid
+        scale = max(scale, 1.0 + float(np.max(np.abs(h_grid))))
+        k = int(np.argmin(h_grid))
+        violation = w * p + lam * slope - float(h_grid[k])
+        if violation > worst:
+            worst, wit_t, wit_u = violation, t, float(u_grid[k])
+    return worst, wit_t, wit_u, scale, 1e-8 * scale
+
+
+def _maximality_cases():
+    for d, H in ((2, 1.0), (2, 6.0), (3, 0.4), (3, 0.8), (4, 0.5)):
+        sol = solve(example_pair_spec(2.0 if d == 2 else 1.0, H, d))
+        yield sol.spec, "front", sol.front, sol.lambda_plus
+        yield sol.spec, "rear", sol.rear, sol.lambda_minus
+    sol = solve(parallel_spec(3, 1.0, 0.55))
+    yield sol.spec, "front", sol.front, sol.lambda_plus
+    # w p = -inf meets lam u = +inf: rows of h_t holding nan
+    spec = ProblemSpec(d=4, T=1e100, H=1e100,
+                       p_plus=make_builtin(1e200, -1e300), p_minus=make_zero())
+    line = Profile(T=1e100, segments=(Linear(0.0, 1e100, 1.0),), beta=1e100)
+    yield spec, "front", line, 1e308
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_maximality_scan_matches_the_loop_bit_for_bit():
+    for spec, branch, profile, lam in _maximality_cases():
+        for n_t, n_u in ((64, 256), (7, 9)):
+            for m in (1.0, 1.05):
+                rep = check_maximality(spec, branch, profile, lam * m,
+                                       n_t=n_t, n_u=n_u)
+                got = (rep.worst_violation, rep.witness_t, rep.witness_u,
+                       rep.scale, rep.threshold)
+                want = _maximality_loop(spec, branch, profile, lam * m,
+                                        n_t, n_u)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_maximality_needs_positive_multiplier():
