@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AssumptionViolated, InvalidParameter, NoConvergence, NotUnimodal
 from .numerics import bracket_root, grow_bracket_upper
-from .pressure import PressureModel
+from .pressure import PressureModel, turning_point
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,10 @@ def critical_values(model: PressureModel) -> CriticalValues:
     # u_bar: the curvature sign change below u0
     grid = np.geomspace(max(1e-9, u0 * 1e-6), u0, 128)
     d2 = model.eval_many(grid)[2]
-    neg = np.flatnonzero(d2 < 0.0)
-    pos = np.flatnonzero(d2 > 0.0)
-    if not (neg.size and pos.size and neg[0] < pos[-1]):
+    u_bar = turning_point(model, grid, d2)
+    if u_bar is None:
         raise NotUnimodal("no curvature sign change below u0",
                           witnesses=(float(grid[0]), u0))
-    last_neg = neg[-1]
-    first_pos_after = pos[pos > last_neg][0]
-    u_bar = bracket_root(lambda v: model.d2p(v),
-                         float(grid[last_neg]), float(grid[first_pos_after]))
     if not u_bar < u0:
         raise NotUnimodal(f"turning point {u_bar} not below u0 {u0}")
     return CriticalValues(u_bar=u_bar, u0=u0, B=B)

@@ -55,7 +55,7 @@ def check_maximality(spec: ProblemSpec, branch: str, profile: Profile,
     reported violation is max_t [h_t(slope(t)) - min_u h_t(u)], and the
     pass threshold is 1e-8 * scale with scale = 1 + max |h_t| over the
     scan (h_t carries no natural unit of its own, so the grid maximum
-    provides one).
+    provides one).  A radius where h_t is not finite violates by +inf.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise InvalidParameter(f"multiplier must be positive, got {lam}")
@@ -74,19 +74,21 @@ def check_maximality(spec: ProblemSpec, branch: str, profile: Profile,
     p_prof = model.eval_many(slopes)[0]
 
     # h_t over the slope grid, one row per t (Python's ** on each t:
-    # numpy's power rounds some t differently); a row holding nan counts
-    # neither for the scale nor as a violation
+    # numpy's power rounds some t differently); a row where h_t is not
+    # finite cannot be compared, so it fails at its t and sets no scale
     w = np.array([t ** (d - 2) for t in t_grid.tolist()])
-    h_grid = w[:, np.newaxis] * p_vals + lam * u_grid
-    top = np.max(np.abs(h_grid), axis=1)
-    scale = 1.0 + float(np.max(top, where=~np.isnan(top), initial=0.0))
-    k = np.argmin(h_grid, axis=1)  # the first u with the smallest h_t
-    violation = w * p_prof + lam * slopes - h_grid[np.arange(n_t), k]
-    violation[np.isnan(violation)] = -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_grid = w[:, np.newaxis] * p_vals + lam * u_grid
+        h_prof = w * p_prof + lam * slopes
+        finite = np.isfinite(h_grid).all(axis=1) & np.isfinite(h_prof)
+        top = np.max(np.abs(h_grid), axis=1)
+        scale = 1.0 + float(np.max(top, where=finite, initial=0.0))
+        k = np.argmin(h_grid, axis=1)  # the first u with the smallest h_t
+        violation = np.where(finite, h_prof - h_grid[np.arange(n_t), k],
+                             math.inf)
     i = int(np.argmax(violation))  # the first t with the largest violation
     worst = float(violation[i])
-    wit_t, wit_u = ((float(t_grid[i]), float(u_grid[k[i]]))
-                    if worst > -math.inf else (0.0, 0.0))
+    wit_t, wit_u = float(t_grid[i]), float(u_grid[k[i]])
     threshold = 1e-8 * scale
     return MaximalityReport(lam=lam, worst_violation=worst,
                             witness_t=wit_t, witness_u=wit_u, scale=scale,

@@ -3,8 +3,11 @@
 A law maps the profile slope u >= 0 to the normal pressure felt by the
 body surface.  Three kinds are supported: the builtin rational family
 scale/(1+u^2)+offset, a user expression in u, and the identically zero
-law (used for a rear surface that feels no flux).  Validation checks
-the structural conditions the solvers rely on:
+law (used for a rear surface that feels no flux).  Each kind is one
+rule for (p, p', p''): the builtin law's arithmetic is written once and
+serves a single slope and a slope grid alike, and p, dp and d2p read
+their value off eval.  Validation checks the structural conditions the
+solvers rely on:
 
   (i)   p, p', p'' finite on the sampled range,
   (ii)  p(u) flattens toward a limit at large u,
@@ -26,6 +29,15 @@ from . import exprlang
 from .errors import DomainError, InvalidParameter
 from .exprlang import Expr
 from .numerics import bracket_root
+
+
+def _builtin(scale: float, offset: float, u):
+    """scale/(1+u^2)+offset and its first two derivatives; the same
+    arithmetic for a float u and for an array of slopes."""
+    s = 1.0 + u * u
+    ss = s * s  # s * s * s is (s * s) * s
+    return (scale / s + offset, -2.0 * scale * u / ss,
+            scale * (6.0 * u * u - 2.0) / (ss * s))
 
 
 @dataclass(frozen=True)
@@ -51,34 +63,22 @@ class PressureModel:
         return self.kind == "zero"
 
     def p(self, u: float) -> float:
-        if self.kind == "newton":
-            return self.scale / (1.0 + u * u) + self.offset
-        if self.kind == "zero":
-            return 0.0
-        return exprlang.eval2(self.law, u).value
+        return self.eval(u)[0]
 
     def dp(self, u: float) -> float:
-        if self.kind == "newton":
-            s = 1.0 + u * u
-            return -2.0 * self.scale * u / (s * s)
-        if self.kind == "zero":
-            return 0.0
-        return exprlang.eval2(self.law, u).d1
+        return self.eval(u)[1]
 
     def d2p(self, u: float) -> float:
-        if self.kind == "newton":
-            s = 1.0 + u * u
-            return self.scale * (6.0 * u * u - 2.0) / (s * s * s)
-        if self.kind == "zero":
-            return 0.0
-        return exprlang.eval2(self.law, u).d2
+        return self.eval(u)[2]
 
     def eval(self, u: float) -> tuple[float, float, float]:
         """(p, p', p'') in one pass."""
-        if self.kind == "expr":
-            d = exprlang.eval2(self.law, u)
-            return d.value, d.d1, d.d2
-        return self.p(u), self.dp(u), self.d2p(u)
+        if self.kind == "newton":
+            return _builtin(self.scale, self.offset, u)
+        if self.kind == "zero":
+            return 0.0, 0.0, 0.0
+        d = exprlang.eval2(self.law, u)
+        return d.value, d.d1, d.d2
 
     def eval_prefix(self, us) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                        DomainError | None]:
@@ -92,19 +92,15 @@ class PressureModel:
         grid order wins, as in a loop of eval calls.
         """
         us = np.asarray(us, dtype=float)
-        if self.kind == "expr":
-            d, err = exprlang.eval_prefix(self.law, us)
-            return d.value, d.d1, d.d2, err
+        if self.kind == "newton":
+            # huge slopes overflow to inf and 0 as in scalar float
+            # arithmetic, without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                return (*_builtin(self.scale, self.offset, us), None)
         if self.kind == "zero":
-            return (np.zeros(us.size), np.zeros(us.size), np.zeros(us.size),
-                    None)
-        # the operation order of p, dp and d2p; huge slopes overflow to
-        # inf and 0 as in scalar float arithmetic, without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = 1.0 + us * us
-            return (self.scale / s + self.offset,
-                    -2.0 * self.scale * us / (s * s),
-                    self.scale * (6.0 * us * us - 2.0) / (s * s * s), None)
+            return (*np.zeros((3, us.size)), None)
+        d, err = exprlang.eval_prefix(self.law, us)
+        return d.value, d.d1, d.d2, err
 
     def eval_many(self, us) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p, p', p'') at every slope of the grid us in one pass.
@@ -150,6 +146,19 @@ class ValidationReport:
     limit_at_infinity: float | None  # None when p is undefined somewhere
     u_bar_estimate: float | None
     violations: tuple  # of (condition, witness_u, description)
+
+
+def turning_point(model: PressureModel, grid, curvature) -> float | None:
+    """The root of p'' between the last slope of grid where curvature
+    (p'' or its sign there) is negative and the first one after it where
+    it is positive; None when no positive value follows the last
+    negative one."""
+    neg = np.flatnonzero(curvature < 0)
+    pos = np.flatnonzero(curvature > 0)
+    if not (neg.size and pos.size and neg[-1] < pos[-1]):
+        return None
+    hi = pos[pos > neg[-1]][0]
+    return bracket_root(model.d2p, float(grid[neg[-1]]), float(grid[hi]))
 
 
 def validate(model: PressureModel) -> ValidationReport:
@@ -211,14 +220,6 @@ def _check_conditions(model: PressureModel, violations: list):
             witness = float(grid[idx[flips[1] + 1]])
             violations.append(("iv", witness,
                                "multiple curvature sign changes"))
-        # refine the -/+ crossing for the turning-point estimate
-        neg_idx = np.flatnonzero(signs == -1)
-        pos_idx = np.flatnonzero(signs == 1)
-        if neg_idx.size and pos_idx.size and neg_idx[0] < pos_idx[-1]:
-            lo = float(grid[neg_idx[-1]])
-            hi_candidates = pos_idx[pos_idx > neg_idx[-1]]
-            if hi_candidates.size:
-                hi = float(grid[hi_candidates[0]])
-                u_bar_estimate = bracket_root(lambda v: model.d2p(v), lo, hi)
+        u_bar_estimate = turning_point(model, grid, signs)
 
     return p_max, u_bar_estimate

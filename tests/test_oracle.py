@@ -1,6 +1,7 @@
 """Certification oracles: pointwise maximality, brute-force DP, quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,10 +118,15 @@ def _maximality_loop(spec, branch, profile, lam, n_t, n_u):
     worst, wit_t, wit_u, scale = -math.inf, 0.0, 0.0, 1.0
     for t, slope, p in zip(t_grid.tolist(), slopes.tolist(), p_prof.tolist()):
         w = t ** (d - 2)
-        h_grid = w * p_vals + lam * u_grid
-        scale = max(scale, 1.0 + float(np.max(np.abs(h_grid))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_grid = w * p_vals + lam * u_grid
         k = int(np.argmin(h_grid))
-        violation = w * p + lam * slope - float(h_grid[k])
+        h_prof = w * p + lam * slope
+        if np.isfinite(h_grid).all() and math.isfinite(h_prof):
+            scale = max(scale, 1.0 + float(np.max(np.abs(h_grid))))
+            violation = h_prof - float(h_grid[k])
+        else:  # a row that cannot be compared fails at its own t
+            violation = math.inf
         if violation > worst:
             worst, wit_t, wit_u = violation, t, float(u_grid[k])
     return worst, wit_t, wit_u, scale, 1e-8 * scale
@@ -140,7 +146,6 @@ def _maximality_cases():
     yield spec, "front", line, 1e308
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_maximality_scan_matches_the_loop_bit_for_bit():
     for spec, branch, profile, lam in _maximality_cases():
         for n_t, n_u in ((64, 256), (7, 9)):
@@ -152,6 +157,22 @@ def test_maximality_scan_matches_the_loop_bit_for_bit():
                 want = _maximality_loop(spec, branch, profile, lam * m,
                                         n_t, n_u)
                 assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_maximality_fails_where_h_t_overflows():
+    """w p = -inf meets lam u = +inf, so every row of the scan is nan: the
+    check must fail at the first such t, not pass with no row counted,
+    and must not warn."""
+    spec = ProblemSpec(d=4, T=1e100, H=1e100,
+                       p_plus=make_builtin(1e200, -1e300), p_minus=make_zero())
+    line = Profile(T=1e100, segments=(Linear(0.0, 1e100, 1.0),), beta=1e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_maximality(spec, "front", line, 1e308)
+    assert not rep.passed
+    assert rep.worst_violation == math.inf
+    assert rep.witness_t == 1e100 / 64  # the first sampled radius
+    assert math.isfinite(rep.threshold)
 
 
 def test_maximality_needs_positive_multiplier():

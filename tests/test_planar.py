@@ -204,3 +204,27 @@ def test_split_heights_sum_exactly_to_H(T, h):
     sol = solve2d(spec)
     assert sol.case_label in (TRIANGLE_OVER_TRAPEZIUM, DOUBLE_TRIANGLE)
     assert sol.beta_plus + sol.beta_minus == H
+
+
+@pytest.mark.xfail(strict=True, reason="critical_values finds the drop "
+                   "rate's first peak (u0 = 0.896), not its narrow "
+                   "higher one near u = 1.1055; minres verify certifies "
+                   "this body")
+def test_a_narrow_second_peak_of_the_drop_rate_is_not_missed():
+    """A narrow bump on 1/(1+u^2) raises the drop rate (p(0) - p(u))/u
+    to 0.4969685 near u = 1.1055 (200,001-point grid on [0.3, 3]),
+    above the solver's B = 0.4962628 at u0 = 0.896.  A flat cap then
+    slope 1.1055 then beats the solved body, 0.7515158 < 0.7518686.
+    Nothing flags it: the doubling scan of critical_values sees one
+    peak, the 256-point maximality grid steps over the band where the
+    drop rate exceeds lambda, the brute-force gap of 0.00423 is under
+    its 1% tolerance, and validate passes the law."""
+    spec = ProblemSpec(d=2, T=1.0, H=0.5,
+                       p_plus=make_expr("1/(1+u^2)+0.05*exp(0-(20*(u-1))^2)"),
+                       p_minus=make_zero())
+    sol = solve2d(spec)
+    u = 1.1055
+    knee = 1.0 - spec.H / u
+    rival = Profile(T=1.0, segments=(Linear(0.0, knee, 0.0),
+                                     Linear(knee, 1.0, u)), beta=spec.H)
+    assert sol.R_total <= resistance_quadrature(spec, "front", rival)

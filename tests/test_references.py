@@ -437,9 +437,19 @@ def test_eval_many_matches_eval2_on_a_dense_grid(text):
 @given(s=st.floats(min_value=1e-3, max_value=1e3),
        o=st.floats(min_value=-1e3, max_value=1e3), us=grids)
 def test_eval_many_matches_builtin_and_zero_laws(s, o, us):
-    for model in (make_builtin(s, o), make_zero()):
-        _assert_grid_matches_pointwise(
-            model, lambda u: (model.p(u), model.dp(u), model.d2p(u)), us)
+    """Grids and single slopes both match each law's closed form, written
+    out here in the builtin law's documented operation order."""
+    def newton(u):
+        q = 1.0 + u * u
+        return (s / q + o, -2.0 * s * u / (q * q),
+                s * (6.0 * u * u - 2.0) / (q * q * q))
+
+    for model, law in ((make_builtin(s, o), newton),
+                       (make_zero(), lambda u: (0.0, 0.0, 0.0))):
+        _assert_grid_matches_pointwise(model, law, us)
+        for u in us:
+            assert (_bits(model.p(u), model.dp(u), model.d2p(u))
+                    == _bits(*law(u)))
 
 
 def _blocked_at(law, u):
