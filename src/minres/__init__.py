@@ -16,7 +16,7 @@ from .criticals import (CriticalValues, PairCriticals, critical_values,
 from .errors import (AssumptionViolated, DomainError, ExprSyntaxError,
                      InfeasibleGrid, InvalidParameter, MinresError,
                      NoConvergence, NotUnimodal, QuadratureFailure,
-                     UnknownIdentifier)
+                     UnknownIdentifier, check_counts)
 from .exprlang import eval2, format_expr, parse
 from .oracle import (BruteForceResult, MaximalityReport, brute_force,
                      check_maximality, resistance_quadrature)
@@ -33,6 +33,7 @@ def solve(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
 
     n_samples (at least 3) is the sample count of each curved arc.
     """
+    check_counts(n_samples=n_samples)
     if n_samples < 3:
         raise InvalidParameter(
             f"n_samples must be at least 3, got {n_samples!r}")

@@ -1,8 +1,10 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its check of counts.
 
 Every failure mode callers are expected to handle has its own class;
 nothing in the library reports a best-effort result silently.
 """
+
+import numbers
 
 
 class MinresError(Exception):
@@ -43,6 +45,14 @@ class DomainError(MinresError):
 
 class InvalidParameter(MinresError):
     """A caller-supplied parameter is out of range or malformed."""
+
+
+def check_counts(**counts) -> None:
+    """Raise InvalidParameter unless each count is a Python or numpy
+    integer; the caller checks its range."""
+    for name, n in counts.items():
+        if not isinstance(n, numbers.Integral):
+            raise InvalidParameter(f"{name} must be an integer, got {n!r}")
 
 
 class NotUnimodal(MinresError):

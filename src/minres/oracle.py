@@ -21,7 +21,8 @@ import numpy as np
 
 from .body import ParamArc, Profile, ProblemSpec
 from .criticals import CriticalValues, critical_values, relaxed_p
-from .errors import InfeasibleGrid, InvalidParameter, QuadratureFailure
+from .errors import (InfeasibleGrid, InvalidParameter, QuadratureFailure,
+                     check_counts)
 from .pressure import PressureModel
 
 
@@ -59,6 +60,7 @@ def check_maximality(spec: ProblemSpec, branch: str, profile: Profile,
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise InvalidParameter(f"multiplier must be positive, got {lam}")
+    check_counts(n_t=n_t, n_u=n_u)
     if n_t < 2 or n_u < 8:
         raise InvalidParameter("need n_t >= 2 and n_u >= 8")
     model = _branch_model(spec, branch)
@@ -137,6 +139,7 @@ def brute_force(spec: ProblemSpec, branch: str, beta: float,
     """
     if branch not in ("front", "rear"):
         raise InvalidParameter(f"branch must be 'front' or 'rear', got {branch!r}")
+    check_counts(n_cells=n_cells, n_heights=n_heights)
     if not (1 <= n_cells <= 2000 and 1 <= n_heights <= 2000):
         raise InvalidParameter("grid dimensions must be in [1, 2000]")
     if beta < 0.0 or not math.isfinite(beta):

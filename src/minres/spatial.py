@@ -15,6 +15,7 @@ where lam = T^{d-2} |p'(U)| and
 The branch height is T * b(U) with b(U) = U - |p'(U)|^omega g(U)
 (b(u0) = 0, and b' = omega |p'|^(omega-1) p'' g > 0 where p'' > 0),
 and the branch resistance is T^{d-1} (p(U) + |p'(U)|^{1+omega} g(U)).
+extremal_from_U builds each branch, flat or not, as (profile, lam, U).
 
 For a two-sided body: the rear stays flat while h = H/T <= h_star;
 above h_star both branches share one multiplier, p_plus'(z_plus) =
@@ -33,7 +34,8 @@ import numpy as np
 from .body import (FLAT_DISK, SPATIAL, BodySolution, Linear, ParamArc,
                    Profile, ProblemSpec, flat_profile, split_height)
 from .criticals import CriticalValues, pair_criticals, slope_at_multiplier
-from .errors import AssumptionViolated, InvalidParameter, NoConvergence
+from .errors import (AssumptionViolated, DomainError, InvalidParameter,
+                     NoConvergence, check_counts)
 from .numerics import adaptive_simpson, bracket_root, grow_bracket_upper
 from .pressure import PressureModel
 
@@ -59,15 +61,21 @@ class GTable:
     def _integrand(self, v: float) -> float:
         return abs(self.model.dp(v)) ** (-self.omega)
 
+    def _quad(self, a: float, b: float, tol: float) -> float:
+        try:  # |p'| ** -omega is out of range where p' underflows
+            return adaptive_simpson(self._integrand, a, b, tol=tol)
+        except (ZeroDivisionError, OverflowError):
+            raise DomainError(b, "|p'|^(-omega)",
+                              f"p' underflows on [{a!r}, {b!r}]") from None
+
     def g(self, u: float) -> float:
         """g(u) to 1e-11, or ~1e-14 g where g > ~1e4 (closed form below u0)."""
         if u < 0.0:
             raise InvalidParameter(f"slope must be nonnegative, got {u}")
-        base = self.cv.u0 / self.cv.B ** self.omega
         if u <= self.cv.u0:
             return u / self.cv.B ** self.omega
-        return base + adaptive_simpson(self._integrand, self.cv.u0, u,
-                                       tol=_G_TOL)
+        return (self.cv.u0 / self.cv.B ** self.omega
+                + self._quad(self.cv.u0, u, _G_TOL))
 
     def g_many(self, us) -> np.ndarray:
         """g on an ascending slope grid that starts at u0, one panel a step."""
@@ -75,34 +83,15 @@ class GTable:
         out = np.empty(len(us))
         out[0] = self.cv.u0 / self.cv.B ** self.omega
         for i in range(1, len(us)):
-            out[i] = out[i - 1] + adaptive_simpson(
-                self._integrand, us[i - 1], us[i], tol=1e-12)
+            out[i] = out[i - 1] + self._quad(us[i - 1], us[i], 1e-12)
         return out
 
     def b(self, U: float) -> float:
-        """Normalized branch height carried by terminal slope U.
-
-        Zero at and below u0 (a flat branch), strictly increasing above.
-        """
+        """Normalized branch height carried by terminal slope U: zero at
+        and below u0 (a flat branch), strictly increasing above."""
         if U <= self.cv.u0:
             return 0.0
         return U - abs(self.model.dp(U)) ** self.omega * self.g(U)
-
-
-@dataclass(frozen=True)
-class SpatialExtremal:
-    """One solved branch for a given body radius T."""
-
-    T: float
-    U: float
-    lam: float  # T^{d-2} |p'(U)|; B T^{d-2} when flat
-    t0: float
-    beta: float
-    samples: tuple  # of (u, t, x); single entry when flat
-
-    @property
-    def is_flat(self) -> bool:
-        return self.beta == 0.0
 
 
 def _check_curvature(gt: GTable, u_hi: float) -> None:
@@ -133,41 +122,36 @@ def _invert_height(gt: GTable, h: float) -> float:
 
 
 def extremal_from_U(gt: GTable, U: float, T: float,
-                    n_samples: int = 256) -> SpatialExtremal:
-    """Branch data for terminal slope U; an arc gets n_samples >= 3."""
+                    n_samples: int = 256) -> tuple[Profile, float, float]:
+    """(profile, multiplier, terminal slope) of the branch with terminal
+    slope U on radius T: flat at and below u0, else a flat cap and an arc
+    of n_samples >= 3 (t, x, u) samples."""
+    check_counts(n_samples=n_samples)
     if n_samples < 3:
         raise InvalidParameter(
             f"n_samples must be at least 3, got {n_samples!r}")
-    cv = gt.cv
-    d, omega = gt.d, gt.omega
+    cv, omega = gt.cv, gt.omega
     if U <= cv.u0:
-        lam = cv.B * T ** (d - 2)
-        return SpatialExtremal(T=T, U=cv.u0, lam=lam, t0=T, beta=0.0,
-                               samples=((cv.u0, T, 0.0),))
-    lam = T ** (d - 2) * abs(gt.model.dp(U))
+        return flat_profile(T), cv.B * T ** (gt.d - 2), cv.u0
+    lam = T ** (gt.d - 2) * abs(gt.model.dp(U))
     t0 = (lam / cv.B) ** omega
     lam_om = lam ** omega
-
     us = np.linspace(cv.u0, U, n_samples)
-    gs = gt.g_many(us)
-    _, dps, _, err = gt.model.eval_prefix(us[1:])
-    pts = [(float(cv.u0), t0, 0.0)]
+    gs = gt.g_many(us)  # has met p' != 0 at each slope, so ap > 0 below
+    _, dps, _ = gt.model.eval_many(us[1:])
+    pts = [(t0, 0.0, float(cv.u0))]
     for u, g, dp in zip(us[1:].tolist(), gs[1:].tolist(), dps.tolist()):
         ap = abs(dp) ** omega
-        t = lam_om / ap
-        x = lam_om * (u / ap - g)
-        pts.append((u, t, x))
-    if err is not None:
-        raise err
+        pts.append((lam_om / ap, lam_om * (u / ap - g), u))
     # the last sample is t(U) = T up to rounding; snap so segments tile
-    u_last, _, x_last = pts[-1]
-    pts[-1] = (u_last, T, x_last)
-    return SpatialExtremal(T=T, U=U, lam=lam, t0=t0, beta=x_last,
-                           samples=tuple(pts))
+    pts[-1] = (T,) + pts[-1][1:]
+    cap = (Linear(0.0, t0, 0.0),) if t0 > 0.0 else ()
+    return (Profile(T=T, segments=cap + (ParamArc(samples=tuple(pts)),),
+                    beta=pts[-1][1]), lam, U)
 
 
 def solve_height_for_U(gt: GTable, h_branch: float, T: float = 1.0,
-                       n_samples: int = 256) -> SpatialExtremal:
+                       n_samples: int = 256) -> tuple[Profile, float, float]:
     """Branch carrying normalized height h_branch = beta/T on radius T."""
     if h_branch < 0.0 or not math.isfinite(h_branch):
         raise InvalidParameter(
@@ -183,16 +167,6 @@ def resistance_branch(gt: GTable, U: float, T: float) -> float:
     ap = abs(gt.model.dp(U))
     return T ** (gt.d - 1) * (gt.model.p(U)
                               + ap ** (1.0 + gt.omega) * gt.g(U))
-
-
-def _profile_from_extremal(ex: SpatialExtremal) -> Profile:
-    if ex.is_flat:
-        return flat_profile(ex.T)
-    segments = []
-    if ex.t0 > 0.0:
-        segments.append(Linear(0.0, ex.t0, 0.0))
-    segments.append(ParamArc(samples=tuple((t, x, u) for u, t, x in ex.samples)))
-    return Profile(T=ex.T, segments=tuple(segments), beta=ex.beta)
 
 
 def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
@@ -238,21 +212,19 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
         z_plus = front_slope(z_minus)
         _check_curvature(gt_plus, z_plus)
 
-    # a zero rear comes out flat with p(0) = 0
     factor = spec.resistance_factor
-    branches = []
+
+    def branch(gt: GTable, z: float) -> tuple:  # zero rear: flat, p(0) = 0
+        profile, lam, U = extremal_from_U(gt, z, T, n_samples)
+        R = (factor * T ** (d - 1) * gt.model.p(0.0) if U <= gt.cv.u0
+             else factor * resistance_branch(gt, U, T))
+        return profile, lam, U, R
+
     try:
-        for gt, z in ((gt_plus, z_plus), (gt_minus, z_minus)):
-            ex = extremal_from_U(gt, z, T, n_samples)
-            R = (factor * T ** (d - 1) * gt.model.p(0.0) if ex.is_flat
-                 else factor * resistance_branch(gt, ex.U, T))
-            branches.append((ex, R))
+        front, rear = branch(gt_plus, z_plus), branch(gt_minus, z_minus)
     except OverflowError as err:  # ProblemSpec has checked T**(d-1)
         raise InvalidParameter(f"T={T!r}, d={d}: a branch extremal or "
                                "resistance overflows") from err
-    (front, R_p), (rear, R_m) = branches
     return BodySolution.from_branches(
         spec, FLAT_DISK if H == 0.0 else SPATIAL,
-        split_height(H, rear.beta)[::-1],
-        (_profile_from_extremal(front), front.lam, front.U, R_p),
-        (_profile_from_extremal(rear), rear.lam, rear.U, R_m))
+        split_height(H, rear[0].beta)[::-1], front, rear)

@@ -227,10 +227,10 @@ def test_criterion_8_split_stationarity(solved_matrix):
         gtm = GTable(model=spec.p_minus, cv=pc.minus, d=d)
 
         def total(beta_m):
-            front = solve_height_for_U(gtp, H - beta_m, T)
-            rear = solve_height_for_U(gtm, beta_m, T)
-            return (resistance_branch(gtp, front.U, T)
-                    + resistance_branch(gtm, rear.U, T))
+            _, _, U_p = solve_height_for_U(gtp, H - beta_m, T)
+            _, _, U_m = solve_height_for_U(gtm, beta_m, T)
+            return (resistance_branch(gtp, U_p, T)
+                    + resistance_branch(gtm, U_m, T))
 
         base = total(sol.beta_minus)
         for eps in (-1e-3, 1e-3):

@@ -108,9 +108,10 @@ def test_parametric_curve_matches_generic_samples():
     """Generic extremal samples land on the closed-form (t(u), x(u))."""
     for d, closed in ((3, newton3), (4, newton4)):
         c = closed(1.0, 2.0)
-        ex = extremal_from_U(gtable(d), 2.0, 1.0, n_samples=64)
-        assert ex.t0 == pytest.approx(c.t0, rel=1e-10)
-        for u, t, x in ex.samples:
+        profile = extremal_from_U(gtable(d), 2.0, 1.0, n_samples=64)[0]
+        cap, arc = profile.segments
+        assert cap.t_to == pytest.approx(c.t0, rel=1e-10)
+        for t, x, u in arc.samples:
             assert t == pytest.approx(c.t_of_u(u), rel=1e-8)
             assert x == pytest.approx(c.x_of_u(u), rel=1e-8, abs=1e-10)
 

@@ -325,6 +325,24 @@ def test_overflowing_law_is_not_blamed_on_T(capsys):
                                   "resistance overflows")
 
 
+@pytest.mark.parametrize("law, dim, T, H", [
+    ("newton:5e-324,0", "3", "1", "0.5"),  # p' underflows to 0
+    ("newton:5e-324,0", "5", "0.08156834167541048", "0.460139401649561"),
+    ("newton:1e-310,0", "3", "1", "0.5"),  # |p'|^-1 overflows
+])
+def test_exit_2_on_underflowing_law_slope(capsys, law, dim, T, H):
+    """|p'|^(-omega) out of range in the slope-cost integral g is an
+    input error that names the slope, not a traceback."""
+    rc = run(["solve", "--dim", dim, "--T", T, "--H", H, "--p-plus", law,
+              "--p-minus", "zero"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert payload["u"] > 1.0 and "p' underflows" in payload["message"]
+
+
 def test_exit_3_on_solver_nonconvergence(capsys, monkeypatch):
     def explode(spec, n_samples=256):
         raise NoConvergence("synthetic", bracket=(0.0, 1.0), residual=1.0)

@@ -74,7 +74,10 @@ DIGESTS_2048 = {
 # (d, T, H, flux, ball_volume): first 16 hex digits of sha256 of the
 # `solve --out-report` JSON and of the `verify --grid 20x40
 # --maximality-samples 16x32 --out-report` JSON; the 12 matrix rows,
-# a flat disk in d = 2, 3 and 4, and two rows with --ball-volume
+# a flat disk in d = 2, 3 and 4, and three rows with --ball-volume.  The
+# last, a flat disk with T != 1 and a nonzero rear law, is the one row
+# whose flat-branch resistance factor * T**(d-1) * p(0) moves by an ulp
+# if the product is grouped as factor * (T**(d-1) * p(0)).
 REPORT_DIGESTS = {
     (2, 2.0, 1.0, "parallel", False): ("b118b4a2f456e1df", "bee2a54fb9ad27aa"),
     (2, 2.0, 3.0, "parallel", False): ("b248af51e91e4d6a", "1e964a011fb98c6d"),
@@ -93,6 +96,7 @@ REPORT_DIGESTS = {
     (4, 1.0, 0.0, "pair", False): ("8716afaf4578230c", "c972ea5431200dc7"),
     (2, 2.0, 6.0, "pair", True): ("753d75c435f14cd4", "0b051af3e637adc2"),
     (4, 1.0, 0.45, "parallel", True): ("c59f18feabdff940", "4736c2b5fccb60be"),
+    (5, 1.3, 0.0, "pair", True): ("c00e513f502a83f9", "70dad8c997f46699"),
 }
 
 _LAWS = {"parallel": ("newton:1,0", "zero"), "pair": (PAIR_PLUS, PAIR_MINUS)}

@@ -245,6 +245,40 @@ def test_brute_force_grid_limits():
         brute_force(spec, "front", 4.0, 2000, 1)
 
 
+@pytest.mark.parametrize("counts", [
+    dict(n_cells=20.0), dict(n_heights=40.5), dict(n_cells=math.nan)])
+def test_brute_force_rejects_non_integer_counts(counts):
+    spec = example_pair_spec(2.0, 4.0)
+    with pytest.raises(InvalidParameter, match="must be an integer"):
+        brute_force(spec, "front", 4.0, **counts)
+
+
+@pytest.mark.parametrize("counts", [
+    dict(n_t=64.0), dict(n_u=256.5), dict(n_t=math.nan)])
+def test_maximality_rejects_non_integer_counts(counts):
+    spec = example_pair_spec(2.0, 2.0)
+    sol = solve2d(spec)
+    with pytest.raises(InvalidParameter, match="must be an integer"):
+        check_maximality(spec, "front", sol.front, sol.lambda_plus, **counts)
+
+
+def test_oracles_accept_numpy_integer_counts():
+    spec = example_pair_spec(2.0, 4.0)
+    sol = solve2d(spec)
+    grid = dict(n_cells=np.int64(20), n_heights=np.int32(40))
+    assert (brute_force(spec, "front", sol.beta_plus, **grid).best_value
+            == brute_force(spec, "front", sol.beta_plus, 20, 40).best_value)
+    assert check_maximality(spec, "front", sol.front, sol.lambda_plus,
+                            n_t=np.int64(16), n_u=np.uint16(32)) == \
+        check_maximality(spec, "front", sol.front, sol.lambda_plus, 16, 32)
+    with pytest.raises(InvalidParameter, match=r"^need n_t >= 2"):
+        check_maximality(spec, "front", sol.front, sol.lambda_plus,
+                         n_t=np.int64(1))
+    with pytest.raises(InvalidParameter,
+                       match=r"^grid dimensions must be in \[1, 2000\]$"):
+        brute_force(spec, "front", 4.0, np.int64(0), 40)
+
+
 def test_brute_force_rejects_an_overflowing_radius_power():
     """T**(d-1) overflows: an input error, not a raw OverflowError."""
     with pytest.raises(InvalidParameter, match=r"T\*\*2 overflows"):

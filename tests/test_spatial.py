@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -67,8 +68,8 @@ def test_b_is_increasing():
 def test_height_inversion_round_trip():
     gt = newton_gtable(3)
     assert gt.b(2.0) == pytest.approx(B3_OF_2, rel=1e-10)
-    ex = solve_height_for_U(gt, B3_OF_2, T=1.0)
-    assert ex.U == pytest.approx(2.0, rel=1e-9)
+    _, _, U = solve_height_for_U(gt, B3_OF_2, T=1.0)
+    assert U == pytest.approx(2.0, rel=1e-9)
 
 
 def test_height_inversion_rejects_nonpositive_curvature():
@@ -78,7 +79,7 @@ def test_height_inversion_rejects_nonpositive_curvature():
     law = make_expr("1/(1+u^2)+0.05*exp(0-(u-3)^2)")
     cv = critical_values(law)
     gt = GTable(model=law, cv=cv, d=3)
-    assert solve_height_for_U(gt, 1.0).U < 2.0
+    assert solve_height_for_U(gt, 1.0)[2] < 2.0
     with pytest.raises(AssumptionViolated) as err:
         solve_height_for_U(gt, 2.0)
     u = err.value.witness
@@ -91,47 +92,47 @@ def test_height_inversion_rejects_nonpositive_curvature():
 def test_terminal_slope_discontinuity():
     """The profile leaves the flat cap at slope u0, never below."""
     gt = newton_gtable(3)
-    ex = extremal_from_U(gt, 1.5, 1.0)
-    u_first, t_first, x_first = ex.samples[0]
+    cap, arc = extremal_from_U(gt, 1.5, 1.0)[0].segments
+    t_first, x_first, u_first = arc.samples[0]
     assert u_first == pytest.approx(1.0, rel=1e-9)  # u jumps to u0
-    assert t_first == pytest.approx(ex.t0, rel=1e-12)
+    assert t_first == pytest.approx(cap.t_to, rel=1e-12)
     assert x_first == 0.0
 
 
 def test_resistance_frozen_value_d3():
     gt = newton_gtable(3)
-    ex = extremal_from_U(gt, 2.0, 1.0)
-    assert resistance_branch(gt, ex.U, 1.0) == pytest.approx(R3_OF_2,
-                                                              rel=1e-10)
+    _, _, U = extremal_from_U(gt, 2.0, 1.0)
+    assert resistance_branch(gt, U, 1.0) == pytest.approx(R3_OF_2,
+                                                          rel=1e-10)
 
 
 def test_flat_body_resistance():
     gt = newton_gtable(3)
-    ex = extremal_from_U(gt, 1.0, 1.0)  # U = u0: zero height, flat disk
-    assert resistance_branch(gt, ex.U, 1.0) == pytest.approx(1.0, rel=1e-9)
+    _, _, U = extremal_from_U(gt, 1.0, 1.0)  # U = u0: zero height, flat disk
+    assert resistance_branch(gt, U, 1.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_extremal_samples_on_curve():
     """Sampled (t, x, u) triples satisfy the stationarity relations."""
     gt = newton_gtable(3)
     model = gt.model
-    ex = extremal_from_U(gt, 2.0, 1.0)
-    lam = ex.lam
-    for u, t, x in ex.samples[1:]:
+    profile, lam, _ = extremal_from_U(gt, 2.0, 1.0)
+    samples = profile.segments[-1].samples
+    for t, x, u in samples[1:]:
         # radius where slope u is optimal: t |p'(u)| = lam  (d = 3)
         assert t * abs(model.dp(u)) == pytest.approx(lam, rel=1e-7)
-    us = [s[0] for s in ex.samples]
-    ts = [s[1] for s in ex.samples]
-    xs = [s[2] for s in ex.samples]
+    ts = [s[0] for s in samples]
+    xs = [s[1] for s in samples]
+    us = [s[2] for s in samples]
     assert all(b > a for a, b in zip(ts, ts[1:]))
     assert all(b > a for a, b in zip(xs, xs[1:]))
     assert all(b > a for a, b in zip(us, us[1:]))
     # x accumulates integral of u dt (trapezoid cross-check; its own
     # discretization error dominates, so sample densely)
-    fine = extremal_from_U(gt, 2.0, 1.0, n_samples=2048)
+    fine = extremal_from_U(gt, 2.0, 1.0, n_samples=2048)[0]
     acc = 0.0
-    prev_u, prev_t, _ = fine.samples[0]
-    for u, t, _ in fine.samples[1:]:
+    prev_t, _, prev_u = fine.segments[-1].samples[0]
+    for t, _, u in fine.segments[-1].samples[1:]:
         acc += 0.5 * (u + prev_u) * (t - prev_t)
         prev_u, prev_t = u, t
     assert acc == pytest.approx(fine.beta, rel=1e-5)
@@ -195,10 +196,10 @@ def test_split_is_locally_optimal():
     gtm = GTable(model=spec.p_minus, cv=pc.minus, d=3)
 
     def total(beta_m):
-        exp = solve_height_for_U(gtp, spec.H - beta_m, 1.0)
-        exm = solve_height_for_U(gtm, beta_m, 1.0)
-        return (resistance_branch(gtp, exp.U, 1.0)
-                + resistance_branch(gtm, exm.U, 1.0))
+        _, _, U_p = solve_height_for_U(gtp, spec.H - beta_m, 1.0)
+        _, _, U_m = solve_height_for_U(gtm, beta_m, 1.0)
+        return (resistance_branch(gtp, U_p, 1.0)
+                + resistance_branch(gtm, U_m, 1.0))
 
     base = total(sol.beta_minus)
     assert base == pytest.approx(sol.R_total, rel=1e-9)
@@ -322,6 +323,28 @@ def test_spatial_entry_points_reject_too_few_samples(n_samples):
         solve_height_for_U(gt, 0.5, 1.0, n_samples=n_samples)
     with pytest.raises(InvalidParameter):
         solve_spatial(spec, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n_samples", [3.5, 256.0, math.nan, "256"])
+def test_solve_rejects_non_integer_samples(d, n_samples):
+    spec = ProblemSpec(d=d, T=1.0, H=0.5, p_plus=make_builtin(1.0, 0.0),
+                       p_minus=make_zero())
+    with pytest.raises(InvalidParameter,
+                       match=r"^n_samples must be an integer, got "):
+        solve(spec, n_samples=n_samples)
+    if d == 3:
+        with pytest.raises(InvalidParameter, match="must be an integer"):
+            extremal_from_U(newton_gtable(3), 2.0, 1.0, n_samples=n_samples)
+
+
+def test_solve_accepts_numpy_integer_samples():
+    spec = ProblemSpec(d=3, T=1.0, H=0.5, p_plus=make_builtin(1.0, 0.0),
+                       p_minus=make_zero())
+    assert solve(spec, n_samples=np.int64(17)) == solve(spec, n_samples=17)
+    with pytest.raises(InvalidParameter,
+                       match=r"^n_samples must be at least 3, got "):
+        solve(spec, n_samples=np.int32(2))
 
 
 def test_solve_accepts_three_samples():
