@@ -4,14 +4,16 @@ A body of revolution with radius T and height H is described by two
 monotone profiles on the radial interval [0, T]: the front surface
 measured down from the top and the rear surface measured up from the
 base.  Each profile is a tiling of straight spans (slope 0 on a flat
-cap) and sampled arcs; x(0) = 0 and x(T) = beta is the height that
-surface carries, with beta_front + beta_rear = H.
+cap) and sampled arcs, walked as one row sequence by Profile.knots();
+x(0) = 0 and x(T) = beta is the height that surface carries, with
+beta_front + beta_rear = H.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,11 +51,14 @@ class ProblemSpec:
         if not (isinstance(self.T, (int, float)) and math.isfinite(self.T)
                 and self.T > 0.0):
             raise InvalidParameter(f"T must be positive finite, got {self.T!r}")
-        try:  # every resistance carries the factor T**(d-1)
-            self.T ** (self.d - 1)
+        try:  # every resistance carries T**(d-1): it must be a normal float
+            fault = ("underflows" if self.T ** (self.d - 1)
+                     < sys.float_info.min else None)
         except OverflowError:
+            fault = "overflows"
+        if fault:
             raise InvalidParameter(f"T={self.T!r} is out of range: "
-                                   f"T**{self.d - 1} overflows") from None
+                                   f"T**{self.d - 1} {fault}")
         if not (isinstance(self.H, (int, float)) and math.isfinite(self.H)
                 and self.H >= 0.0):
             raise InvalidParameter(
@@ -93,14 +98,12 @@ class ParamArc:
         return self.samples[-1][0]
 
 
-Segment = Linear | ParamArc
-
 _TILE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Profile:
-    """Monotone profile x(t) on [0, T] built from tiled segments."""
+    """Monotone profile x(t) on [0, T]: tiled segments, read by knots()."""
 
     T: float
     segments: tuple
@@ -110,23 +113,22 @@ class Profile:
     def __post_init__(self):
         if not self.segments:
             raise InvalidParameter("profile needs at least one segment")
-        spans = [(seg.t_from, seg.t_to, seg.slope) if isinstance(seg, Linear)
-                 else itertools.chain(*seg.samples) for seg in self.segments]
-        if not all(map(math.isfinite,
-                       itertools.chain((self.T, self.beta), *spans))):
+        rows = [_rows(seg) for seg in self.segments]
+        if not all(map(math.isfinite, itertools.chain(
+                (self.T, self.beta), *itertools.chain(*rows)))):
             raise InvalidParameter("profile holds a non-finite T, beta, "
                                    "segment end, slope or arc sample")
         cursor = 0.0
         x = 0.0
         starts = []
-        for seg in self.segments:
+        for seg, seg_rows in zip(self.segments, rows):
             if abs(seg.t_from - cursor) > _TILE_TOL * max(1.0, self.T):
                 raise InvalidParameter(
                     f"segments do not tile [0, T]: gap at t={seg.t_from}")
             if seg.t_to < seg.t_from:
                 raise InvalidParameter("segment runs backwards")
             starts.append(x)
-            x += _segment_rise(seg)
+            x += seg_rows[-1][1] - seg_rows[0][1]
             cursor = seg.t_to
         if abs(cursor - self.T) > _TILE_TOL * max(1.0, self.T):
             raise InvalidParameter(
@@ -166,7 +168,7 @@ class Profile:
                     x[on], u[on] = _arc_interp(seg, grid[on])
         # a kink is a segment start whose one-sided slopes differ
         kinks = np.array([False] + [
-            _kink(_segment_slope(prev, -1), _segment_slope(seg, 0))
+            _kink(_rows(prev)[-1][2], _rows(seg)[0][2])
             for prev, seg in zip(segs, segs[1:])])
         eps = _TILE_TOL * max(1.0, self.T)
         unambiguous = ~(kinks[idx] & (np.abs(grid - t_from) <= eps))
@@ -184,39 +186,26 @@ class Profile:
         _, u, unambiguous = self.sample((t,))
         return u.item() if unambiguous[0] else None
 
+    def knots(self):
+        """(t, u) at each span's two ends and arc's samples, in order."""
+        return ((t, u) for seg in self.segments for t, _, u in _rows(seg))
+
     def max_slope(self) -> float:
-        worst = 0.0
-        for seg in self.segments:
-            if isinstance(seg, Linear):
-                worst = max(worst, seg.slope)
-            else:
-                worst = max(worst, max(s[2] for s in seg.samples))
-        return worst
+        return max(0.0, *(u for _, u in self.knots()))
 
     def is_convex(self) -> bool:
         """Whether slopes are nondecreasing (to 1e-9) along the profile."""
-        prev = -math.inf
-        for seg in self.segments:
-            slopes = ([u for _, _, u in seg.samples]
-                      if isinstance(seg, ParamArc) else [seg.slope])
-            for u in slopes:
-                if u < prev - 1e-9:
-                    return False
-                prev = u
-        return True
+        us = (u for _, u in self.knots())
+        return all(b >= a - 1e-9 for a, b in itertools.pairwise(us))
 
 
-def _segment_rise(seg: Segment) -> float:
+def _rows(seg: Linear | ParamArc) -> tuple:
+    """(t, x, u) rows of one segment: a span's two ends, with x measured
+    from its start, or an arc's samples."""
     if isinstance(seg, Linear):
-        return seg.slope * (seg.t_to - seg.t_from)
-    return seg.samples[-1][1] - seg.samples[0][1]
-
-
-def _segment_slope(seg: Segment, k: int) -> float:
-    """Slope at the segment's first (k=0) or last (k=-1) abscissa."""
-    if isinstance(seg, Linear):
-        return seg.slope
-    return seg.samples[k][2]
+        return ((seg.t_from, 0.0, seg.slope),
+                (seg.t_to, seg.slope * (seg.t_to - seg.t_from), seg.slope))
+    return seg.samples
 
 
 def _kink(left: float, right: float) -> bool:

@@ -174,6 +174,12 @@ def brute_force(spec: ProblemSpec, branch: str, beta: float,
     if m_max < 1 or m_max * n_cells < n_heights:
         raise InfeasibleGrid(
             f"slope cap {u_cap} cannot reach beta={beta} on this grid")
+    if not weights.all():  # 0 * inf, on an inadmissible step, is nan
+        i = int(np.argmin(weights))
+        raise InfeasibleGrid(
+            f"weight {float(weights[i])!r} of cell {i} (its t^{d - 1} "
+            f"increment) underflows on the {n_cells}x{n_heights} grid "
+            f"of T={T!r}")
 
     steps = np.arange(m_max + 1)
     p_step = model.eval_many(steps * dx / dt)[0]

@@ -17,17 +17,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .body import BodySolution, ParamArc, Profile
-
-
-def _profile_breakpoints(profile: Profile) -> list[float]:
-    ts = []
-    for seg in profile.segments:
-        ts.append(seg.t_from)
-        if isinstance(seg, ParamArc):
-            ts.extend(s[0] for s in seg.samples)
-        ts.append(seg.t_to)
-    return ts
+from .body import BodySolution
 
 
 def _merged_grid(solution: BodySolution, n_uniform: int) -> list[float]:
@@ -36,7 +26,7 @@ def _merged_grid(solution: BodySolution, n_uniform: int) -> list[float]:
     for k in range(n_uniform + 1):
         ts.add(T * k / n_uniform)
     for profile in (solution.front, solution.rear):
-        for t in _profile_breakpoints(profile):
+        for t, _ in profile.knots():
             ts.add(min(max(t, 0.0), T))
     return sorted(ts)
 

@@ -161,12 +161,17 @@ def solve_height_for_U(gt: GTable, h_branch: float, T: float = 1.0,
 
 def resistance_branch(gt: GTable, U: float, T: float) -> float:
     """Resistance of the branch with terminal slope U (no unit-ball
-    factor); flat at and below u0."""
+    factor); flat at and below u0.  |p'(U)|^(1+omega) out of range is an
+    input error, for the solver and the oracle alike."""
     if U <= gt.cv.u0:
         return T ** (gt.d - 1) * gt.model.p(0.0)
     ap = abs(gt.model.dp(U))
-    return T ** (gt.d - 1) * (gt.model.p(U)
-                              + ap ** (1.0 + gt.omega) * gt.g(U))
+    try:  # ProblemSpec has checked T**(d-1)
+        return T ** (gt.d - 1) * (gt.model.p(U)
+                                  + ap ** (1.0 + gt.omega) * gt.g(U))
+    except OverflowError as err:
+        raise InvalidParameter(f"T={T!r}, d={gt.d}: a branch extremal or "
+                               "resistance overflows") from err
 
 
 def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
@@ -220,11 +225,7 @@ def solve_spatial(spec: ProblemSpec, n_samples: int = 256) -> BodySolution:
              else factor * resistance_branch(gt, U, T))
         return profile, lam, U, R
 
-    try:
-        front, rear = branch(gt_plus, z_plus), branch(gt_minus, z_minus)
-    except OverflowError as err:  # ProblemSpec has checked T**(d-1)
-        raise InvalidParameter(f"T={T!r}, d={d}: a branch extremal or "
-                               "resistance overflows") from err
+    front, rear = branch(gt_plus, z_plus), branch(gt_minus, z_minus)
     return BodySolution.from_branches(
         spec, FLAT_DISK if H == 0.0 else SPATIAL,
         split_height(H, rear[0].beta)[::-1], front, rear)

@@ -275,10 +275,17 @@ def test_solves_just_above_the_split_threshold(capsys, dim, H):
      "--p-minus", "zero"],
     ["--dim", "2", "--T", "1e300", "--H", "1e300", "--p-plus",
      "newton:1e300,0", "--p-minus", "zero"],
+    # T**2 underflows: R_total read 0.0, and 3.75e-321 for 3.748e-321
+    ["--dim", "3", "--T", "1e-300", "--H", "1e-300", "--p-plus",
+     "newton:1,0", "--p-minus", "zero"],
+    ["--dim", "3", "--T", "1e-160", "--H", "1e-160", "--p-plus",
+     "newton:1,0", "--p-minus", "zero"],
 ])
 def test_exit_2_on_overflowing_resistance(tmp_path, capsys, argv):
-    """A resistance that overflows is an input error, not a traceback
-    and not an infinite value in the report (which is not valid JSON)."""
+    """A resistance that overflows, or whose factor T**(d-1) is not a
+    normal float, is an input error, not a traceback, not an infinite
+    value in the report (which is not valid JSON) and not a resistance
+    that has lost its digits."""
     report = tmp_path / "r.json"
     rc = run(["solve"] + argv + ["--out-report", str(report)])
     out, err = capsys.readouterr()
@@ -304,6 +311,21 @@ def test_exit_3_on_unrepresentable_height_step(capsys, argv, dx):
     payload = json.loads(err)
     assert payload["error"] == "InfeasibleGrid"
     assert dx in payload["message"] and "beta=" in payload["message"]
+
+
+def test_exit_3_on_underflowing_cell_weight(capsys):
+    """T**9 is normal, but the first cell's t^9 increment underflows to
+    0, which the DP would multiply by the inf of an inadmissible step."""
+    rc = run(["verify", "--dim", "10", "--T", "1e-34", "--H", "1e-34",
+              "--p-plus", "newton:1,0", "--p-minus", "zero"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "InfeasibleGrid"
+    assert payload["message"] == (
+        "weight 0.0 of cell 0 (its t^9 increment) underflows on the "
+        "200x400 grid of T=1e-34")
 
 
 def test_tall_body_solves(capsys):

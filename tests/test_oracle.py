@@ -286,6 +286,22 @@ def test_brute_force_rejects_an_overflowing_radius_power():
                     n_heights=10)
 
 
+def test_brute_force_rejects_an_overflowing_branch_resistance():
+    """|p'(U)|^2 overflows in the analytic value, as it does in solve."""
+    spec = ProblemSpec(d=3, T=1.0, H=1.0, p_plus=make_expr("1e200/(1+u^2)"),
+                       p_minus=make_zero())
+    with pytest.raises(InvalidParameter, match=r"^T=1\.0, d=3: a branch "
+                       r"extremal or resistance overflows$"):
+        brute_force(spec, "front", 1.0, 20, 40)
+
+
+def test_subnormal_radius_power_is_rejected_on_construction():
+    """T**(d-1) = 5e-324: brute_force's steps per cell were inf * 0."""
+    with pytest.raises(InvalidParameter, match=r"T\*\*1 underflows"):
+        ProblemSpec(d=2, T=5e-324, H=1.0, p_plus=make_builtin(1.0, 0.0),
+                    p_minus=make_zero())
+
+
 def test_quadrature_rejects_an_overflowing_radius_power():
     with pytest.raises(InvalidParameter, match=r"T\*\*2 overflows"):
         resistance_quadrature(parallel_spec(3, 1e200, 1.0), "front",
