@@ -39,17 +39,11 @@ def _scan_peaks(model: PressureModel, p0: float):
 
     Returns (grid, values, peaks).
     """
-    us = []
-    u = 1e-6
-    while u <= 1e6:
-        us.append(u)
-        u *= 2.0
-    us.append(1e6)
-    grid = np.array(us)
+    grid = np.append(1e-6 * 2.0 ** np.arange(40), 1e6)
     vals = ((p0 - model.eval_many(grid)[0]) / grid).tolist()
-    peaks = [i for i in range(1, len(us) - 1)
+    peaks = [i for i in range(1, len(vals) - 1)
              if vals[i - 1] < vals[i] >= vals[i + 1]]
-    return us, vals, peaks
+    return grid.tolist(), vals, peaks
 
 
 def critical_values(model: PressureModel) -> CriticalValues:
@@ -112,10 +106,13 @@ def relaxed_p(model: PressureModel, cv: CriticalValues, u: float) -> float:
 
 def slope_at_multiplier(model: PressureModel, cv: CriticalValues,
                         mu: float) -> float:
-    """The slope z >= u0 with p'(z) = -mu, for 0 < mu <= B."""
+    """The slope z >= u0 with p'(z) = -mu, for 0 < mu <= B; u0 itself
+    when mu >= -p'(u0), which B exceeds by the stationarity residual."""
     def marginal(u: float) -> float:
         return model.dp(u) + mu
 
+    if marginal(cv.u0) >= 0.0:
+        return cv.u0
     lo, hi = grow_bracket_upper(marginal, cv.u0, max(cv.u0, 1.0))
     return bracket_root(marginal, lo, hi) if lo != hi else lo
 

@@ -1,13 +1,12 @@
 """Arithmetic expressions in one variable u with second-order evaluation.
 
-Grammar (no implicit multiplication, ^ is right-associative and binds
-tighter than unary minus, so -u^2 means -(u^2)):
+Grammar (no implicit multiplication; the binary operators bind by the
+levels of _BIN_LEVELS, + - loosest, then * /, then ^, which is
+right-associative and binds tighter than unary minus, so -u^2 means
+-(u^2), and whose exponent may be signed):
 
-    sum    := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?
-    atom   := number | 'u' | 'pi' | 'e' | fn '(' sum ')' | '(' sum ')'
+    expr   := '-' expr | atom | expr ('+' | '-' | '*' | '/' | '^') expr
+    atom   := number | 'u' | 'pi' | 'e' | fn '(' expr ')' | '(' expr ')'
     fn     := 'ln' | 'exp' | 'sqrt' | 'abs'
 
 eval2 returns the value together with the first and second derivative
@@ -78,9 +77,11 @@ Expr = Num | Const | Var | Neg | Bin | Call
 
 
 # binding levels: 1 sum, 2 term, 3 unary or power, 4 atom; per binary
-# operator, its own level and the levels its left and right operands need
+# operator, its own level and the levels its left and right operands
+# need.  A unary minus binds at _NEG_LEVEL, as does its operand.
 _BIN_LEVELS = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3),
                "/": (2, 2, 3), "^": (3, 4, 3)}
+_NEG_LEVEL = 3
 
 
 def format_expr(e: Expr) -> str:
@@ -100,7 +101,7 @@ def _format(e: Expr, need: int) -> str:
     if isinstance(e, Call):
         return f"{e.fn}({_format(e.arg, 1)})"
     if isinstance(e, Neg):
-        level, text = 3, "-" + _format(e.arg, 3)
+        level, text = _NEG_LEVEL, "-" + _format(e.arg, _NEG_LEVEL)
     elif isinstance(e, Bin):
         level, left, right = _BIN_LEVELS[e.op]
         text = f"{_format(e.left, left)}{e.op}{_format(e.right, right)}"
@@ -142,24 +143,23 @@ def _tokenize(text: str):
     return tokens
 
 
-# The parser spends up to 5 frames per level of nesting (sum, term,
-# unary, power and atom for each parenthesis); compile2, evaluation on
-# a scalar or a grid and format_expr spend 1 per tree level, and the
-# nodes' repr, == and hash up to 3.  160 levels is at most 800 frames,
-# which leaves a fifth of Python's default recursion limit of 1000 to
-# the caller.
+# The parser spends up to 2 frames per level of nesting (parse_expr and
+# parse_atom for each parenthesis); compile2, evaluation on a scalar or
+# a grid and format_expr spend 1 per tree level, and the nodes' repr, ==
+# and hash up to 3.  160 levels is at most 480 frames, which leaves half
+# of Python's default recursion limit of 1000 to the caller.
 MAX_DEPTH = 160
 
 
 class _Parser:
-    """Recursive descent.  Each parse_* method returns (node, height),
-    height being the longest chain of operators below the node."""
+    """Precedence climbing over _BIN_LEVELS.  parse_expr and parse_atom
+    return (node, height), height being the longest chain of operators
+    below the node, and take depth, the levels of nesting around it."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
-        self.depth = 0  # levels of nesting around the next parse_unary
 
     def peek(self):
         return self.tokens[self.i]
@@ -185,51 +185,32 @@ class _Parser:
             raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels",
                                   _byte_offset(self.text, pos))
 
-    def operator(self, op, pos, left, right):
-        """The Bin node for the operator token at pos."""
-        height = max(left[1], right[1]) + 1
-        self.check_depth(height, pos)
-        return Bin(op, left[0], right[0]), height
-
-    def parse_sum(self):
-        node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op, _, pos = self.take()
-            node = self.operator(op, pos, node, self.parse_term())
-        return node
-
-    def parse_term(self):
-        node = self.parse_unary()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.take()
-            node = self.operator(op, pos, node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        # every nesting level, whether a parenthesis, a function call,
-        # a unary minus or an exponent, passes through here once
-        pos = self.peek()[2]
-        self.check_depth(self.depth, pos)
-        self.depth += 1
-        if self.peek()[0] == "-":
+    def parse_expr(self, need=1, depth=0):
+        """The longest expression here whose binary operators bind at
+        level need or tighter.  A parenthesis, a call, a unary minus or
+        an exponent nests one level deeper; an operand of + - * / does
+        not."""
+        kind, _, pos = self.peek()
+        self.check_depth(depth, pos)
+        if kind == "-":
             self.take()
-            arg, height = self.parse_unary()
+            arg, height = self.parse_expr(_NEG_LEVEL, depth + 1)
             self.check_depth(height + 1, pos)
             node = Neg(arg), height + 1
         else:
-            node = self.parse_power()
-        self.depth -= 1
+            node = self.parse_atom(depth)
+        while (op := self.peek()[0]) in _BIN_LEVELS:
+            level, _, right_need = _BIN_LEVELS[op]
+            if level < need:
+                break
+            pos = self.take()[2]
+            right = self.parse_expr(right_need, depth + (op == "^"))
+            height = max(node[1], right[1]) + 1
+            self.check_depth(height, pos)
+            node = Bin(op, node[0], right[0]), height
         return node
 
-    def parse_power(self):
-        base = self.parse_atom()
-        if self.peek()[0] == "^":
-            pos = self.take()[2]
-            # right-associative; exponent may itself be signed
-            return self.operator("^", pos, base, self.parse_unary())
-        return base
-
-    def parse_atom(self):
+    def parse_atom(self, depth):
         kind, value, pos = self.peek()
         if kind == "num":
             self.take()
@@ -242,14 +223,14 @@ class _Parser:
                 return Const(value), 0
             if value in _FUNCTIONS:
                 self.expect("(")
-                arg, height = self.parse_sum()
+                arg, height = self.parse_expr(1, depth + 1)
                 self.expect(")")
                 self.check_depth(height + 1, pos)
                 return Call(value, arg), height + 1
             raise UnknownIdentifier(value, _byte_offset(self.text, pos))
         if kind == "(":
             self.take()
-            node = self.parse_sum()
+            node = self.parse_expr(1, depth + 1)
             self.expect(")")
             return node
         self.fail(("number", "identifier", "(", "-"))
@@ -264,7 +245,7 @@ def parse(text: str) -> Expr:
     if not isinstance(text, str):
         raise InvalidParameter("expression source must be a string")
     p = _Parser(text)
-    node, _ = p.parse_sum()
+    node, _ = p.parse_expr()
     if p.peek()[0] != "end":
         p.fail(("end of input",))
     return node

@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from minres.criticals import critical_values, pair_criticals, relaxed_p
+from minres.criticals import (critical_values, pair_criticals, relaxed_p,
+                              slope_at_multiplier)
 from minres.errors import (AssumptionViolated, InvalidParameter, NotUnimodal)
 from minres.pressure import make_builtin, make_expr, make_zero
 
@@ -192,3 +193,18 @@ def test_criticals_match_closed_forms():
     check()
     for name, err in worst.items():
         print(f"closed-form {name}: worst error {err:.2e}")
+
+
+@pytest.mark.parametrize("model, root", [
+    (make_builtin(1.0, 0.0), 1.00000000000097),
+    (make_expr("1/(1+u^4)"), 1.3160740129530737)])
+def test_slope_at_multiplier_up_to_B(model, root):
+    """-p'(u0) falls short of B by the stationarity residual r > 0; for
+    a multiplier in [B - r, B] no slope above u0 has p' = -mu, and the
+    slope is u0 itself.  Just below B - r the root above u0 is found."""
+    cv = critical_values(model)
+    r = model.dp(cv.u0) + cv.B
+    assert r > 0.0
+    for mu in (cv.B, cv.B - r / 2.0, -model.dp(cv.u0)):
+        assert slope_at_multiplier(model, cv, mu) == cv.u0
+    assert slope_at_multiplier(model, cv, cv.B * (1.0 - 1e-12)) == root

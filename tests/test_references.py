@@ -6,11 +6,15 @@ point at a time.  eval2 formats a subexpression only when it raises
 DomainError; the reference formats every Bin and Call node eagerly, as
 eval2 once did.  Grid evaluation walks the tree
 once for all points; the reference is a loop of scalar evaluations.
+parse climbs one precedence table; the reference is the recursive
+descent it replaced, one method per binding level.
 The critical slopes and the d >= 3 split are checked against 50-digit
 mpmath roots.
 """
 
+import itertools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -21,10 +25,11 @@ import minres.exprlang as exprlang
 from minres import check_maximality, solve
 from minres.body import Linear, ParamArc, ProblemSpec, Profile
 from minres.criticals import critical_values, pair_criticals
-from minres.errors import (DomainError, InvalidParameter, MinresError,
-                           UnknownIdentifier)
-from minres.exprlang import (_CONSTANTS, Bin, Call, Const, Dual2, Neg, Num,
-                             Var, _chain, eval2, format_expr, parse)
+from minres.errors import (DomainError, ExprSyntaxError, InvalidParameter,
+                           MinresError, UnknownIdentifier)
+from minres.exprlang import (_CONSTANTS, _FUNCTIONS, MAX_DEPTH, Bin, Call,
+                             Const, Dual2, Neg, Num, Var, _byte_offset,
+                             _chain, _tokenize, eval2, format_expr, parse)
 from minres.pressure import make_builtin, make_expr, make_zero
 from minres.render import profile_csv, profile_svg
 from test_acceptance import PAIR_MINUS, PAIR_PLUS, _spec_for
@@ -363,6 +368,208 @@ def test_eval2_does_not_format_on_success(monkeypatch):
     expected = [ref_eval2(e, u) for e, u in cases]
     monkeypatch.setattr(exprlang, "format_expr", refuse)
     assert [eval2(e, u) for e, u in cases] == expected
+
+
+class _RefParser:
+    """Recursive descent.  Each parse_* method returns (node, height),
+    height being the longest chain of operators below the node."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.depth = 0  # levels of nesting around the next parse_unary
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, expected):
+        kind, _, pos = self.peek()
+        what = "end of input" if kind == "end" else f"{self.text[pos]!r}"
+        raise ExprSyntaxError(f"unexpected {what}",
+                              _byte_offset(self.text, pos), expected)
+
+    def expect(self, kind):
+        if self.peek()[0] != kind:
+            self.fail((kind,))
+        return self.take()
+
+    def check_depth(self, levels, pos):
+        if levels > MAX_DEPTH:
+            raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels",
+                                  _byte_offset(self.text, pos))
+
+    def operator(self, op, pos, left, right):
+        """The Bin node for the operator token at pos."""
+        height = max(left[1], right[1]) + 1
+        self.check_depth(height, pos)
+        return Bin(op, left[0], right[0]), height
+
+    def parse_sum(self):
+        node = self.parse_term()
+        while self.peek()[0] in ("+", "-"):
+            op, _, pos = self.take()
+            node = self.operator(op, pos, node, self.parse_term())
+        return node
+
+    def parse_term(self):
+        node = self.parse_unary()
+        while self.peek()[0] in ("*", "/"):
+            op, _, pos = self.take()
+            node = self.operator(op, pos, node, self.parse_unary())
+        return node
+
+    def parse_unary(self):
+        # every nesting level, whether a parenthesis, a function call,
+        # a unary minus or an exponent, passes through here once
+        pos = self.peek()[2]
+        self.check_depth(self.depth, pos)
+        self.depth += 1
+        if self.peek()[0] == "-":
+            self.take()
+            arg, height = self.parse_unary()
+            self.check_depth(height + 1, pos)
+            node = Neg(arg), height + 1
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
+
+    def parse_power(self):
+        base = self.parse_atom()
+        if self.peek()[0] == "^":
+            pos = self.take()[2]
+            # right-associative; exponent may itself be signed
+            return self.operator("^", pos, base, self.parse_unary())
+        return base
+
+    def parse_atom(self):
+        kind, value, pos = self.peek()
+        if kind == "num":
+            self.take()
+            return Num(value), 0
+        if kind == "ident":
+            self.take()
+            if value == "u":
+                return Var(), 0
+            if value in _CONSTANTS:
+                return Const(value), 0
+            if value in _FUNCTIONS:
+                self.expect("(")
+                arg, height = self.parse_sum()
+                self.expect(")")
+                self.check_depth(height + 1, pos)
+                return Call(value, arg), height + 1
+            raise UnknownIdentifier(value, _byte_offset(self.text, pos))
+        if kind == "(":
+            self.take()
+            node = self.parse_sum()
+            self.expect(")")
+            return node
+        self.fail(("number", "identifier", "(", "-"))
+
+
+def ref_parse(text: str):
+    """Parse expression text; raises ExprSyntaxError / UnknownIdentifier.
+
+    Nesting and tree height are bounded by MAX_DEPTH, so that neither
+    parsing nor any later walk of the tree exhausts the recursion limit.
+    """
+    if not isinstance(text, str):
+        raise InvalidParameter("expression source must be a string")
+    p = _RefParser(text)
+    node, _ = p.parse_sum()
+    if p.peek()[0] != "end":
+        p.fail(("end of input",))
+    return node
+
+
+# source fragments: every token kind, whitespace, a stray identifier and
+# character, a two-byte character, and pairs that nest a sign
+FRAGMENTS = ("u", "2", "1.5", "pi", "e", "+", "-", "*", "/", "^", "(", ")",
+             "ln(", "exp(", "sqrt(", "abs(", " ", "x", "1e3", "é", "--",
+             "^-")
+LAW = "1/(1+u^2)"
+NESTINGS = (lambda k: "(" * k + LAW + ")" * k,
+            lambda k: LAW + "+0*u" * k,
+            lambda k: "-" * k + "u",
+            lambda k: "u" + "^u" * k,
+            lambda k: "u" + "^-u" * k,
+            lambda k: "ln(" * k + "u" + ")" * k,
+            lambda k: "-(" * k + "u" + ")" * k,
+            lambda k: "u" + "*u" * k,
+            lambda k: "(u+" * k + "u" + ")" * k,
+            lambda k: "exp(-" * k + "u" + ")" * k,
+            lambda k: "2^(" * k + "u" + ")" * k,
+            lambda k: "-u*" * k + "u")
+
+
+def _parse_outcome(parse_text, text):
+    """The tree, by == and by repr, or the error: its type, message,
+    byte offset and expected tokens."""
+    try:
+        e = parse_text(text)
+    except (ExprSyntaxError, UnknownIdentifier) as err:
+        return type(err), str(err), err.offset, getattr(err, "expected", None)
+    return e, repr(e)
+
+
+def _assert_parsers_agree(texts):
+    for text in texts:
+        assert _parse_outcome(parse, text) == _parse_outcome(ref_parse, text), text
+
+
+def test_parse_matches_recursive_descent_on_short_inputs():
+    """Every string of at most three fragments: 11,155 inputs."""
+    _assert_parsers_agree("".join(parts) for n in range(4)
+                          for parts in itertools.product(FRAGMENTS, repeat=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.sampled_from(FRAGMENTS), max_size=30))
+def test_parse_matches_recursive_descent_property(parts):
+    _assert_parsers_agree(["".join(parts)])
+
+
+def test_parse_matches_recursive_descent_next_to_the_nesting_bound():
+    """Each shape at MAX_DEPTH +- 3 levels, as it is, with a closing
+    parenthesis more and with its last character cut."""
+    texts = [shape(k) for shape in NESTINGS
+             for k in range(MAX_DEPTH - 3, MAX_DEPTH + 4)]
+    _assert_parsers_agree(texts + [t + ")" for t in texts]
+                          + [t[:-1] for t in texts])
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("parse_text, fits", [(parse, True),
+                                              (ref_parse, False)])
+def test_parse_spends_two_frames_per_nesting_level(parse_text, fits):
+    """The deepest accepted parenthesis nest parses within 2 MAX_DEPTH
+    frames and a margin; the recursive descent needs more than 3."""
+    text = NESTINGS[0](MAX_DEPTH - 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 2 * MAX_DEPTH + 30)
+    try:
+        outcome = parse_text(text)
+    except RecursionError as err:
+        outcome = err
+    finally:
+        sys.setrecursionlimit(limit)
+    if fits:
+        assert outcome == parse(text)
+    else:
+        assert isinstance(outcome, RecursionError)
 
 
 def _bits(*values):
