@@ -4,13 +4,14 @@ A body of revolution with radius T and height H is described by two
 monotone profiles on the radial interval [0, T]: the front surface
 measured down from the top and the rear surface measured up from the
 base.  Each profile is a tiling of straight spans (slope 0 on a flat
-cap) and sampled arcs, walked as one row sequence by Profile.knots();
-x(0) = 0 and x(T) = beta is the height that surface carries, with
-beta_front + beta_rear = H.
+cap) and sampled arcs, kept as one table of (t, x, u) rows: a span's
+two ends and an arc's samples.  x(0) = 0 and x(T) = beta is the height
+that surface carries, with beta_front + beta_rear = H.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -89,6 +90,10 @@ class ParamArc:
 
     samples: tuple  # of (t, x, u)
 
+    def __post_init__(self):
+        if len(self.samples) < 2 or set(map(len, self.samples)) != {3}:
+            raise InvalidParameter("an arc needs two or more (t, x, u) samples")
+
     @property
     def t_from(self) -> float:
         return self.samples[0][0]
@@ -103,40 +108,63 @@ _TILE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Profile:
-    """Monotone profile x(t) on [0, T]: tiled segments, read by knots()."""
+    """Monotone profile x(t) on [0, T]: tiled segments, kept as one
+    table of (t, x, u) rows that every reader reads."""
 
     T: float
     segments: tuple
     beta: float
-    _starts: tuple = field(init=False, repr=False, compare=False)
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
             raise InvalidParameter("profile needs at least one segment")
-        rows = [_rows(seg) for seg in self.segments]
-        if not all(map(math.isfinite, itertools.chain(
-                (self.T, self.beta), *itertools.chain(*rows)))):
-            raise InvalidParameter("profile holds a non-finite T, beta, "
-                                   "segment end, slope or arc sample")
-        cursor = 0.0
-        x = 0.0
-        starts = []
-        for seg, seg_rows in zip(self.segments, rows):
-            if abs(seg.t_from - cursor) > _TILE_TOL * max(1.0, self.T):
+        rows, x, tol = [], 0.0, _TILE_TOL * max(1.0, self.T)
+        for seg in self.segments:
+            # the profile starts at 0 to tol; interior joints meet exactly
+            if seg.t_from != rows[-1][0] if rows else abs(seg.t_from) > tol:
                 raise InvalidParameter(
                     f"segments do not tile [0, T]: gap at t={seg.t_from}")
-            if seg.t_to < seg.t_from:
-                raise InvalidParameter("segment runs backwards")
-            starts.append(x)
-            x += seg_rows[-1][1] - seg_rows[0][1]
-            cursor = seg.t_to
-        if abs(cursor - self.T) > _TILE_TOL * max(1.0, self.T):
+            if isinstance(seg, Linear):
+                if seg.t_to < seg.t_from:
+                    raise InvalidParameter("segment runs backwards")
+                x0, x = x, x + seg.slope * (seg.t_to - seg.t_from)
+                rows += ((seg.t_from, x0, seg.slope), (seg.t_to, x, seg.slope))
+            else:  # arc heights are absolute; x carries only the rise
+                rows += seg.samples
+                x += seg.samples[-1][1] - seg.samples[0][1]
+        ts, _, _ = table = tuple(zip(*rows))
+        # a finite sum has only finite terms, so the scan rarely runs
+        if not (math.isfinite(sum(map(sum, table), self.T + self.beta))
+                or all(map(math.isfinite, itertools.chain(
+                    (self.T, self.beta), *table)))):
+            raise InvalidParameter("profile holds a non-finite T, beta, "
+                                   "segment end, slope or arc sample")
+        # only arc radii can run back (spans run forward), by rounding
+        if list(ts) != sorted(ts) and any(
+                b < a - tol for a, b in itertools.pairwise(ts)):
+            raise InvalidParameter("arc radii run backwards")
+        if abs(ts[-1] - self.T) > tol:
             raise InvalidParameter(
-                f"segments end at t={cursor}, expected T={self.T}")
+                f"segments end at t={ts[-1]}, expected T={self.T}")
         if abs(x - self.beta) > 1e-6 * max(1.0, abs(self.beta)):
             raise InvalidParameter(
                 f"segment rises sum to {x}, expected beta={self.beta}")
-        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_table", table)
+
+    @functools.cached_property
+    def _columns(self) -> tuple:
+        """Arrays t, (x, u) and per row its segment's first and last row,
+        whether that segment is a span and whether it starts at a kink."""
+        t, _, u = rows = np.array(self._table, dtype=float)
+        spans = [isinstance(seg, Linear) for seg in self.segments]
+        sizes = [2 if span else len(seg.samples)
+                 for span, seg in zip(spans, self.segments)]
+        firsts = np.cumsum(sizes) - sizes
+        kinks = [k > 0 and abs(u[k - 1] - u[k])
+                 > 1e-9 * max(1.0, abs(u[k - 1]), abs(u[k])) for k in firsts]
+        return (t, rows[1:], *(np.repeat(c, sizes) for c in
+                               (firsts, firsts + sizes - 1, spans, kinks)))
 
     def sample(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, slope, unambiguous) at every t of the 1-D grid ts.
@@ -152,27 +180,21 @@ class Profile:
         if not inside.all():
             t = ts[int(np.argmin(inside))]
             raise InvalidParameter(f"t={t} outside [0, {self.T}]")
-        segs = self.segments
-        # searchsorted right on segment ends gives right-continuity at kinks
-        ends = np.array([seg.t_to for seg in segs])
-        idx = np.minimum(np.searchsorted(ends, grid, side="right"),
-                         len(segs) - 1)
-        t_from = np.array([seg.t_from for seg in segs])[idx]
-        u = np.array([seg.slope if isinstance(seg, Linear) else math.nan
-                      for seg in segs])[idx]
-        x = np.array(self._starts)[idx] + u * (grid - t_from)
-        for i, seg in enumerate(segs):
-            if isinstance(seg, ParamArc):
-                on = idx == i
-                if on.any():
-                    x[on], u[on] = _arc_interp(seg, grid[on])
-        # a kink is a segment start whose one-sided slopes differ
-        kinks = np.array([False] + [
-            _kink(_rows(prev)[-1][2], _rows(seg)[0][2])
-            for prev, seg in zip(segs, segs[1:])])
-        eps = _TILE_TOL * max(1.0, self.T)
-        unambiguous = ~(kinks[idx] & (np.abs(grid - t_from) <= eps))
-        return x, u, unambiguous
+        t, xu, first, last, span, kink = self._columns
+        # the row pair around each t, searched on running maxima as arc radii
+        # may run back by rounding; side="right" makes slopes right-continuous
+        j = np.searchsorted(np.maximum.accumulate(t), grid, side="right")
+        i = np.clip(j, 1, len(t) - 1) - 1
+        f, e, t0, v0, v1 = first[i], last[i], t[i], xu[:, i], xu[:, i + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (grid - t0) / (t[i + 1] - t0)
+            # an arc is linear between rows and held at its end rows;
+            # a span runs on past them
+            arc = np.where(grid <= t[f], xu[:, f],
+                           np.where(grid >= t[e], xu[:, e], v0 + w * (v1 - v0)))
+            x = np.where(span[i], v0[0] + v0[1] * (grid - t0), arc[0])
+        return (x, np.where(span[i], v0[1], arc[1]), ~(kink[i] & (
+            np.abs(grid - t[f]) <= _TILE_TOL * max(1.0, self.T))))
 
     def x_at(self, t: float) -> float:
         return self.sample((t,))[0].item()
@@ -188,46 +210,14 @@ class Profile:
 
     def knots(self):
         """(t, u) at each span's two ends and arc's samples, in order."""
-        return ((t, u) for seg in self.segments for t, _, u in _rows(seg))
+        return zip(self._table[0], self._table[2])
 
     def max_slope(self) -> float:
-        return max(0.0, *(u for _, u in self.knots()))
+        return max(0.0, *self._table[2])
 
     def is_convex(self) -> bool:
         """Whether slopes are nondecreasing (to 1e-9) along the profile."""
-        us = (u for _, u in self.knots())
-        return all(b >= a - 1e-9 for a, b in itertools.pairwise(us))
-
-
-def _rows(seg: Linear | ParamArc) -> tuple:
-    """(t, x, u) rows of one segment: a span's two ends, with x measured
-    from its start, or an arc's samples."""
-    if isinstance(seg, Linear):
-        return ((seg.t_from, 0.0, seg.slope),
-                (seg.t_to, seg.slope * (seg.t_to - seg.t_from), seg.slope))
-    return seg.samples
-
-
-def _kink(left: float, right: float) -> bool:
-    return abs(left - right) > 1e-9 * max(1.0, abs(left), abs(right))
-
-
-def _arc_interp(arc: ParamArc, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, u) on the arc at each t, linear between samples, clamped to
-    the end samples outside them."""
-    pts = np.array(arc.samples)
-    ts = pts[:, 0]
-    j = np.clip(np.searchsorted(ts, t, side="right"), 1, len(ts) - 1)
-    t0, t1 = ts[j - 1], ts[j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = (t - t0) / (t1 - t0)
-    out = []
-    for col in (1, 2):
-        v0, v1 = pts[j - 1, col], pts[j, col]
-        v = np.where(t1 == t0, v1, v0 + w * (v1 - v0))
-        out.append(np.where(t <= ts[0], pts[0, col],
-                            np.where(t >= ts[-1], pts[-1, col], v)))
-    return out[0], out[1]
+        return all(b >= a - 1e-9 for a, b in itertools.pairwise(self._table[2]))
 
 
 def split_height(H: float, first: float) -> tuple[float, float]:

@@ -1,6 +1,7 @@
-"""Profile's row view: knots(), max_slope() and is_convex().
+"""Profile's row table: knots(), max_slope(), is_convex() and the
+profiles it refuses to build.
 
-knots() reads a straight span as its two ends and an arc as its
+The table holds a straight span as its two ends and an arc as its
 samples.  The unit cases pin it on hand-built profiles; the property
 checks max_slope, is_convex and the export grid on random solved
 bodies against per-segment-kind walks kept here as the reference.
@@ -8,10 +9,13 @@ bodies against per-segment-kind walks kept here as the reference.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from minres import solve
-from minres.body import Linear, ParamArc, Profile, flat_profile
+from minres.body import Linear, ParamArc, ProblemSpec, Profile, flat_profile
+from minres.errors import InvalidParameter
+from minres.pressure import make_builtin, make_zero
 from minres.render import _merged_grid
 from test_properties import (_pair_spec, aspects, dims, offsets, radii,
                              rear_scales, scales)
@@ -41,6 +45,58 @@ def test_cap_and_arc_knots_are_segment_ends_and_samples():
                                   (0.75, 0.5), (1.0, 1.0)]
     assert body.max_slope() == 1.0
     assert body.is_convex()
+
+
+def test_arc_radii_that_run_backwards_are_rejected():
+    arc = ParamArc(((0.5, 0.0, 1.0), (0.9, 0.1, 1.2), (0.7, 0.3, 1.5),
+                    (1.0, 0.7, 2.0)))
+    with pytest.raises(InvalidParameter, match="run backwards"):
+        Profile(T=1.0, segments=(Linear(0.0, 0.5, 0.0), arc), beta=0.7)
+    with pytest.raises(InvalidParameter, match="segment runs backwards"):
+        Profile(T=1.0, segments=(Linear(0.0, 0.5, 0.0), Linear(0.5, 0.4, 1.0),
+                                 Linear(0.4, 1.0, 1.0)), beta=0.5)
+
+
+def test_a_solver_arc_with_one_radius_moved_back_is_rejected():
+    """Built, it would reach the quadrature and fail there as if the
+    arc were sampled too coarsely."""
+    front = solve(ProblemSpec(d=3, T=1.0, H=0.55, p_plus=make_builtin(1.0, 0.0),
+                              p_minus=make_zero())).front
+    cap, arc = front.segments
+    samples = list(arc.samples)
+    samples[100] = (samples[98][0],) + samples[100][1:]
+    with pytest.raises(InvalidParameter, match="run backwards"):
+        Profile(T=front.T, segments=(cap, ParamArc(tuple(samples))),
+                beta=front.beta)
+
+
+@pytest.mark.parametrize("shift", [5e-10, -5e-10, 1e-16])
+def test_interior_joints_must_meet_exactly(shift):
+    """Before, a 5e-10 gap was accepted and x_at(0.5) read -5e-10."""
+    with pytest.raises(InvalidParameter, match="do not tile"):
+        Profile(T=1.0, segments=(Linear(0.0, 0.5, 0.0),
+                                 Linear(0.5 + shift, 1.0, 1.0)), beta=0.5)
+
+
+def test_profile_ends_keep_their_tolerance():
+    """CSV profiles may start and end within 1e-9 max(1, T) of 0 and T."""
+    body = Profile(T=1.0, segments=(Linear(5e-10, 0.5, 0.0),
+                                    Linear(0.5, 1.0 - 5e-10, 1.0)), beta=0.5)
+    assert body.x_at(0.0) == 0.0
+    assert body.x_at(1.0) == 0.5
+    with pytest.raises(InvalidParameter, match="gap at t="):
+        Profile(T=1.0, segments=(Linear(2e-9, 1.0, 0.0),), beta=0.0)
+    with pytest.raises(InvalidParameter, match="segments end at t="):
+        Profile(T=1.0, segments=(Linear(0.0, 1.0 - 2e-9, 0.0),), beta=0.0)
+
+
+@pytest.mark.parametrize("samples", [
+    (), ((0.0, 0.0, 1.0),), ((0.0, 0.0, 1.0), (1.0, 1.0)),
+    ((0.0, 0.0, 1.0), (1.0, 1.0, 1.0, 1.0))])
+def test_malformed_arc_is_rejected(samples):
+    with pytest.raises(InvalidParameter,
+                       match="two or more \\(t, x, u\\) samples"):
+        ParamArc(samples)
 
 
 # the per-segment-kind walks that knots() replaced, as reference

@@ -1,8 +1,8 @@
 """Library paths checked against plain reference implementations.
 
-Profile lookups search segment ends and arc abscissae for a whole grid
-at once; the reference scans the segments and samples linearly, one
-point at a time.  eval2 formats a subexpression only when it raises
+Profile lookups search one table of span ends and arc samples for a
+whole grid at once; the reference scans the segments and samples
+linearly, one point at a time.  eval2 formats a subexpression only when it raises
 DomainError; the reference formats every Bin and Call node eagerly, as
 eval2 once did.  Grid evaluation walks the tree
 once for all points; the reference is a loop of scalar evaluations.
@@ -14,16 +14,19 @@ mpmath roots.
 
 import itertools
 import math
+import os
 import sys
+import tempfile
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import minres.exprlang as exprlang
 from minres import check_maximality, solve
 from minres.body import Linear, ParamArc, ProblemSpec, Profile
+from minres.cli import _profile_from_csv
 from minres.criticals import critical_values, pair_criticals
 from minres.errors import (DomainError, ExprSyntaxError, InvalidParameter,
                            MinresError, UnknownIdentifier)
@@ -98,16 +101,22 @@ def ref_slope_if_unambiguous(profile, t):
 
 
 def _probe_points(profile):
-    """Kinks, every arc sample and the midpoints between them, and T."""
-    ts = {0.0, profile.T}
-    ts.update(profile.T * k / 64 for k in range(65))
+    """Kinks and the edges of their tolerance bands, every arc sample and
+    the midpoints between them, and the tolerance bands past 0 and T."""
+    T = profile.T
+    eps = 1e-9 * max(1.0, T)
+    hi = T * (1.0 + 1e-9) + 1e-9
+    ts = {0.0, T, -1e-9, -5e-10, -5e-324, math.nextafter(T, math.inf),
+          0.5 * (T + hi), hi}
+    ts.update(T * k / 64 for k in range(65))
     for seg in profile.segments:
         ts.update((seg.t_from, seg.t_to))
+        ts.update(seg.t_from + k * eps for k in (-1.5, -1, -0.5, 0.5, 1, 1.5))
         if isinstance(seg, ParamArc):
             arc_ts = [s[0] for s in seg.samples]
             ts.update(arc_ts)
             ts.update(0.5 * (a + b) for a, b in zip(arc_ts, arc_ts[1:]))
-    return sorted(ts)
+    return sorted(t for t in ts if -1e-9 <= t <= hi)
 
 
 def _assert_lookups_match(profile):
@@ -137,6 +146,32 @@ def test_lookups_match_scan_on_two_arc_split():
         _assert_lookups_match(profile)
 
 
+@pytest.mark.parametrize("segments", [
+    # an arc that ends on a repeated radius, with a step there
+    (Linear(0.0, 0.5, 0.0),
+     ParamArc(((0.5, 0.0, 1.0), (0.8, 0.3, 1.5), (1.0, 0.6, 2.0),
+               (1.0, 0.7, 2.5)))),
+    # a zero-width arc at T: a step that the arc's first row holds at T
+    (Linear(0.0, 1.0, 0.5), ParamArc(((1.0, 0.5, 0.5), (1.0, 0.6, 1.0)))),
+    # an arc from t = 0 that starts on a repeated radius
+    (ParamArc(((0.0, 0.0, 0.5), (0.0, 0.0, 0.7), (0.6, 0.5, 1.2),
+               (1.0, 0.7, 1.3))),),
+    # zero-width spans at both ends and at an interior joint
+    (Linear(0.0, 0.0, 3.0), Linear(0.0, 0.5, 0.5), Linear(0.5, 0.5, 2.0),
+     Linear(0.5, 1.0, 0.9), Linear(1.0, 1.0, 2.0)),
+    # a straight arc, whose equal slopes are still read as an arc
+    (Linear(0.0, 0.25, 0.0),
+     ParamArc(tuple((t, 0.7 * (t - 0.25), 0.7)
+                    for t in (0.25, 0.4, 0.55, 0.7, 1.0)))),
+])
+def test_lookups_match_scan_on_hand_built_edge_rows(segments):
+    rise = sum(seg.slope * (seg.t_to - seg.t_from) if isinstance(seg, Linear)
+               else seg.samples[-1][1] - seg.samples[0][1] for seg in segments)
+    profile = Profile(T=1.0, segments=segments, beta=rise)
+    _assert_lookups_match(profile)
+    _assert_grid_matches_scan(profile)
+
+
 _newton_bodies = dict(
     d=st.sampled_from((2, 3, 4)), s=st.floats(min_value=0.25, max_value=4.0),
     o=st.floats(min_value=0.0, max_value=1.0),
@@ -158,31 +193,103 @@ def _outside_message(profile, t):
     return tuple(texts)
 
 
-@settings(max_examples=60, deadline=None)
-@given(**_newton_bodies)
-def test_grid_lookups_match_scan(d, s, o, T, h, k, o2):
+def _assert_grid_matches_scan(profile):
     """One sample call over every probe point returns, bit for bit, what
     the reference scan returns point by point; out-of-range and NaN t
     raise the same text through every entry point."""
+    ts = _probe_points(profile)
+    x, u, unambiguous = profile.sample(ts)
+    got = [(_bits(xv), _bits(uv), _bits(uv) if ok else None)
+           for xv, uv, ok in zip(x.tolist(), u.tolist(), unambiguous.tolist())]
+    want = []
+    for t in ts:
+        ref_u = ref_slope_if_unambiguous(profile, t)
+        want.append((_bits(ref_x_at(profile, t)),
+                     _bits(ref_slope_at(profile, t)),
+                     None if ref_u is None else _bits(ref_u)))
+    assert got == want
+    T = profile.T
+    for t in (-1e-3, -T, T * (1.0 + 1e-8), 2.0 * T, math.nan):
+        assert _outside_message(profile, t) == (
+            (f"t={t} outside [0, {profile.T}]",) * 4)
+
+
+def _newton_solve(d, s, o, T, h, k, o2, n_samples=256):
     p_minus = make_zero() if k == 0.0 else make_builtin(k * s, o2)
-    sol = solve(ProblemSpec(d=d, T=T, H=h * T, p_plus=make_builtin(s, o),
-                            p_minus=p_minus))
+    return solve(ProblemSpec(d=d, T=T, H=h * T, p_plus=make_builtin(s, o),
+                             p_minus=p_minus), n_samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_newton_bodies)
+@example(d=3, s=1.0, o=0.0, T=1.0, h=1e-11, k=0.0, o2=0.0)
+def test_grid_lookups_match_scan(d, s, o, T, h, k, o2):
+    sol = _newton_solve(d, s, o, T, h, k, o2)
     for profile in (sol.front, sol.rear):
-        ts = _probe_points(profile)
-        x, u, unambiguous = profile.sample(ts)
-        got = [(_bits(xv), _bits(uv), _bits(uv) if ok else None)
-               for xv, uv, ok
-               in zip(x.tolist(), u.tolist(), unambiguous.tolist())]
-        want = []
-        for t in ts:
-            ref_u = ref_slope_if_unambiguous(profile, t)
-            want.append((_bits(ref_x_at(profile, t)),
-                         _bits(ref_slope_at(profile, t)),
-                         None if ref_u is None else _bits(ref_u)))
-        assert got == want
-        for t in (-1e-3, -T, T * (1.0 + 1e-8), 2.0 * T, math.nan):
-            assert _outside_message(profile, t) == (
-                (f"t={t} outside [0, {profile.T}]",) * 4)
+        _assert_grid_matches_scan(profile)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_newton_bodies)
+def test_grid_lookups_match_scan_on_csv_profiles(d, s, o, T, h, k, o2):
+    """The many-span profiles that --check-profile reads back from a
+    solver CSV."""
+    sol = _newton_solve(d, s, o, T, h, k, o2, n_samples=17)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "body.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(profile_csv(sol, 16))
+        for column in ("x_front", "x_rear"):
+            _assert_grid_matches_scan(_profile_from_csv(path, T, column))
+
+
+def test_an_arc_that_ends_on_repeated_slopes_holds_its_end():
+    """At H = 3e-12 the linspace steps of 50,000 slopes fall below an ulp
+    of u0, so the d = 3 arc ends on equal slopes.  Past T it still holds
+    its end height, where a span of that slope would run on."""
+    front = _newton_solve(3, 1.0, 0.0, 1.0, 3e-12, 0.0, 0.0,
+                          n_samples=50000).front
+    samples = front.segments[-1].samples
+    assert samples[-2][2] == samples[-1][2]
+    ts = [samples[-3][0], 1.0, 1.0 + 5e-10, 1.0 + 2e-9]
+    x, u, _ = front.sample(ts)
+    assert x[-1] == samples[-1][1]
+    assert _bits(*x.tolist()) == _bits(*(ref_x_at(front, t) for t in ts))
+    assert _bits(*u.tolist()) == _bits(*(ref_slope_at(front, t) for t in ts))
+
+
+def test_solver_arc_radii_that_run_back_by_rounding_are_kept():
+    """With 50,000 samples this d = 3 arc's second radius rounds one ulp
+    below the cap's end and its last but one one ulp above T.  The
+    profile is kept, and each t is read where the scan reads it."""
+    spec = ProblemSpec(d=3, T=2.468342941594495, H=3e-12,
+                       p_plus=make_builtin(1.7723043546835318,
+                                           0.5365988904176019),
+                       p_minus=make_expr("0.3*exp(0-u^2)"))
+    front = solve(spec, 50000).front
+    cap, arc = front.segments
+    pts = arc.samples
+    assert pts[1][0] < pts[0][0] == cap.t_to and pts[-2][0] > pts[-1][0]
+    ts = [pts[1][0], pts[0][0], pts[2][0], pts[-3][0], pts[-1][0],
+          pts[-2][0], spec.T * (1.0 + 1e-9) + 1e-9]
+    x, u, unambiguous = front.sample(ts)
+    assert _bits(*x.tolist()) == _bits(*(ref_x_at(front, t) for t in ts))
+    assert _bits(*u.tolist()) == _bits(*(ref_slope_at(front, t) for t in ts))
+    assert unambiguous.tolist() == [
+        ref_slope_if_unambiguous(front, t) is not None for t in ts]
+    assert unambiguous[0] and u[0] == 0.0  # still on the cap
+
+
+def test_a_kink_band_covers_an_arc_narrower_than_it():
+    """At H = 1e-11 the d = 3 arc is narrower than the 1e-9 kink band,
+    so a probe inside its second interval is still at the cap's kink."""
+    front = _newton_solve(3, 1.0, 0.0, 1.0, 1e-11, 0.0, 0.0).front
+    arc = front.segments[-1]
+    assert arc.t_to - arc.t_from < 1e-9
+    t = 0.5 * (arc.samples[1][0] + arc.samples[2][0])
+    assert ref_slope_if_unambiguous(front, t) is None
+    assert front.slope_if_unambiguous(t) is None
+    assert front.slope_at(t) == ref_slope_at(front, t)
 
 
 def test_exports_and_maximality_make_no_per_point_lookups(monkeypatch):
